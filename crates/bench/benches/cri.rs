@@ -1,8 +1,10 @@
 //! Benchmarks of the compiler–runtime interface's three mechanisms
 //! against the unhinted protocol paths they replace: aggregated
 //! validate vs demand fault-in, barrier-time push vs demand pull, and
-//! direct tree reduction vs lock-and-shared-page folding.
+//! direct tree reduction vs lock-and-shared-page folding — plus the
+//! host cost of the inspector's run-list compaction.
 
+use cri::DynSection;
 use criterion::{criterion_group, criterion_main, Criterion};
 use sp2sim::{Cluster, ClusterConfig, EngineKind};
 use treadmarks::{Tmk, TmkConfig};
@@ -127,10 +129,52 @@ fn bench_reduce_direct_vs_lock(c: &mut Criterion) {
     g.finish();
 }
 
+/// `DynSection::from_indices` on the two walks the irregular apps'
+/// inspectors produce at the paper's size, for one node's block: IGrid's
+/// 9-point stencil reads of 62 columns × 498 interior rows through a
+/// near-identity map over a 500×500 (250k-word) grid, and NBF's 4096
+/// atoms × (self + 60 partners within ±2000) over 32768 words.
+fn bench_dynsection_from_indices(c: &mut Criterion) {
+    let mut g = c.benchmark_group("dynsection_from_indices");
+    g.sample_size(10);
+    g.warm_up_time(std::time::Duration::from_millis(400));
+    g.measurement_time(std::time::Duration::from_millis(1200));
+    // A deterministic hash for map jitter and partner choice.
+    let mix = |x: usize| {
+        let z = (x as u64 ^ 0x9E37_79B9_7F4A_7C15).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        (z ^ (z >> 31)) as usize
+    };
+    let n = 500;
+    let igrid: Vec<usize> = (186..248)
+        .flat_map(|j| (1..n - 1).map(move |i| (i, j)))
+        .flat_map(|(i, j)| {
+            // The map moves the stencil centre by up to one cell.
+            let mi = (i + mix(j * n + i) % 3).clamp(2, n - 1) - 1;
+            let mj = (j + mix(j * n + i + 1) % 3).clamp(2, n - 1) - 1;
+            (0..9).map(move |s| (mj + s / 3 - 1) * n + mi + s % 3 - 1)
+        })
+        .collect();
+    let (m, w, k) = (32768, 2000, 60);
+    let nbf: Vec<usize> = (4096..8192)
+        .flat_map(|i| {
+            let (lo, hi) = (i - w, (i + w).min(m - 1) + 1);
+            std::iter::once(i).chain((0..k).map(move |p| lo + mix(i * k + p) % (hi - lo)))
+        })
+        .collect();
+    g.bench_function("igrid_block_walk", |b| {
+        b.iter(|| DynSection::from_indices(igrid.iter().copied()))
+    });
+    g.bench_function("nbf_block_walk", |b| {
+        b.iter(|| DynSection::from_indices(nbf.iter().copied()))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_validate_vs_fault,
     bench_push_vs_pull,
-    bench_reduce_direct_vs_lock
+    bench_reduce_direct_vs_lock,
+    bench_dynsection_from_indices
 );
 criterion_main!(benches);

@@ -230,18 +230,25 @@ impl TriSection {
     }
 }
 
-/// Sort and merge overlapping or adjacent ranges.
+/// Sort and merge overlapping or adjacent ranges. Merges in place and
+/// returns an exact-size `Vec`, so a short merged list kept around (a
+/// cached schedule) does not pin its input's allocation.
 pub fn merge_ranges(mut runs: Vec<Range<usize>>) -> Vec<Range<usize>> {
     runs.retain(|r| r.start < r.end);
-    runs.sort_by_key(|r| r.start);
-    let mut out: Vec<Range<usize>> = Vec::with_capacity(runs.len());
-    for r in runs {
-        match out.last_mut() {
-            Some(last) if r.start <= last.end => last.end = last.end.max(r.end),
-            _ => out.push(r),
+    // Equal starts merge into one run whatever their order.
+    runs.sort_unstable_by_key(|r| r.start);
+    let mut len = 0;
+    for k in 0..runs.len() {
+        if len > 0 && runs[k].start <= runs[len - 1].end {
+            runs[len - 1].end = runs[len - 1].end.max(runs[k].end);
+        } else {
+            runs.swap(len, k);
+            len += 1;
         }
     }
-    out
+    runs.truncate(len);
+    runs.shrink_to_fit();
+    runs
 }
 
 #[cfg(test)]

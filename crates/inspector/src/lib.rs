@@ -65,6 +65,11 @@ use treadmarks::{SharedArray, Tmk};
 /// any real per-iteration compute (IGrid charges 8.2 µs per stencil
 /// point), but nonzero — amortization must be *demonstrated*, not
 /// assumed, which is what the `schedule_reuse` statistic is for.
+///
+/// The charge models the *simulated* node's walk, not the host
+/// algorithm that compacts it: it is paid per index produced,
+/// duplicates included, however cheaply [`DynSection::from_indices`]
+/// runs on the host.
 pub const INSPECT_ENTRY_US: f64 = 0.02;
 
 /// A node-bound inspector: compacts walked index streams into
@@ -81,7 +86,8 @@ impl<'n> Inspector<'n> {
 
     /// Walk a stream of touched word indices (duplicates welcome) into a
     /// compacted dynamic section, charging [`INSPECT_ENTRY_US`] per
-    /// index produced.
+    /// index produced. The stream is consumed once, straight into the
+    /// compaction.
     pub fn gather(&self, touched: impl IntoIterator<Item = usize>) -> DynSection {
         let _s = self.node.trace_span(sp2sim::SpanKind::Inspect, 0);
         let mut count = 0usize;

@@ -18,7 +18,10 @@
 //! * amortization: extra epochs perform **zero** additional inspections
 //!   — the cached communication schedule is reused — and a declared
 //!   epoch-invalidating event (map rebuild) re-inspects exactly once,
-//!   cluster-wide, without changing results.
+//!   cluster-wide, without changing results;
+//! * the SPF+CRI simulated output of both apps, bitwise: virtual time,
+//!   traffic and the inspector counters must not move when the host
+//!   side of the inspector changes.
 
 use apps::{AppId, RunResult, Version};
 use cri::Access;
@@ -300,4 +303,70 @@ fn map_rebuild_reinspects_once_and_stays_correct() {
             assert!(*reuse >= 1, "engine {engine} node {q}");
         }
     }
+}
+
+/// Bitwise pin of the SPF+CRI simulated output of both irregular apps:
+/// 8 nodes, sequential engine, both protocols, scale 0.15 (below the
+/// IGrid SPF+CRI/LRC checksum defect, which starts at scale ≥ 0.2).
+/// The inspector's host algorithm may change; what it charges and what
+/// the executor then does may not. Values recorded before the
+/// bitmap-compaction rewrite of `DynSection::from_indices`.
+#[test]
+fn spf_cri_irregular_simulated_output_is_pinned() {
+    use AppId::{IGrid, Nbf};
+    use ProtocolMode::{Hlrc, Lrc};
+    // (app, protocol, [time_us bits, messages, bytes, inspections,
+    //  inspect_us, schedule_reuse])
+    const PINS: [(AppId, ProtocolMode, [u64; 6]); 4] = [
+        (
+            IGrid,
+            Lrc,
+            [4672182831597794596, 188, 62304, 128, 15440, 188],
+        ),
+        (
+            IGrid,
+            Hlrc,
+            [4672446613117652988, 196, 241112, 128, 18052, 220],
+        ),
+        (
+            Nbf,
+            Lrc,
+            [4678660470299221846, 230, 1519360, 64, 10240, 656],
+        ),
+        (
+            Nbf,
+            Hlrc,
+            [4679760200035383374, 320, 2560112, 64, 10240, 680],
+        ),
+    ];
+    let mut moved = Vec::new();
+    for (app, protocol, pinned) in PINS {
+        let r = run(
+            app,
+            Version::SpfCri,
+            EngineKind::Sequential,
+            protocol,
+            8,
+            0.15,
+        );
+        let got = [
+            r.time_us.to_bits(),
+            r.messages,
+            r.stats.total_bytes(),
+            r.dsm.inspections,
+            r.dsm.inspect_us,
+            r.dsm.schedule_reuse,
+        ];
+        if got != pinned {
+            moved.push(format!(
+                "({app:?}, {protocol:?}, {got:?}), // time {} us",
+                r.time_us
+            ));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "SPF+CRI simulated output moved; now:\n{}",
+        moved.join("\n")
+    );
 }
