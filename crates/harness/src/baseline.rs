@@ -1,14 +1,14 @@
-//! Shared `--check-baseline` machinery for the CI regression-gate
-//! binaries (`compiler_opt`, `protocol_compare`).
+//! `--check-baseline` files for the CI regression gates
+//! (`dsm compiler_opt`, `dsm protocol_compare`).
 //!
 //! A baseline file records `scale nprocs max_count` — the configuration
 //! a deterministic (sequential-engine) sweep was recorded at and the
 //! count it must not exceed there. What the count bounds (messages,
-//! access-miss round trips, ...) is the binary's business; the parsing
-//! and the recorded-config-wins rule are shared so both gates keep one
-//! contract. Exit status 2 signals an unreadable or malformed baseline.
+//! access-miss round trips, ...) is the command's business; reading the
+//! file and the recorded-config-wins rule are shared so both gates keep
+//! one contract.
 
-use crate::cli::{self, Cli};
+use crate::cli::{Error, RunSpec};
 
 /// Parsed `scale nprocs max_count` baseline record.
 pub struct Baseline {
@@ -20,80 +20,43 @@ pub struct Baseline {
     pub max_count: u64,
 }
 
-fn read_baseline(path: &str, what: &str) -> Baseline {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read baseline {path}: {e}");
-        std::process::exit(2);
-    });
-    let fields: Vec<&str> = text.split_whitespace().collect();
-    let parsed = (|| -> Option<Baseline> {
-        let [scale, nprocs, max_count] = fields.as_slice() else {
-            return None;
+impl Baseline {
+    /// Read a baseline file. `what` names the count field in the error
+    /// for a malformed file (e.g. `max_msgs`).
+    pub fn read(path: &str, what: &str) -> Result<Baseline, Error> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| Error::Io(format!("cannot read baseline {path}: {e}")))?;
+        let parsed = match text.split_whitespace().collect::<Vec<_>>()[..] {
+            [scale, nprocs, max_count] => (|| {
+                Some(Baseline {
+                    scale: scale.parse().ok()?,
+                    nprocs: nprocs.parse().ok()?,
+                    max_count: max_count.parse().ok()?,
+                })
+            })(),
+            _ => None,
         };
-        Some(Baseline {
-            scale: scale.parse().ok()?,
-            nprocs: nprocs.parse().ok()?,
-            max_count: max_count.parse().ok()?,
+        parsed.ok_or_else(|| {
+            Error::Io(format!(
+                "baseline {path} must contain `scale nprocs {what}`, got {text:?}"
+            ))
         })
-    })();
-    parsed.unwrap_or_else(|| {
-        eprintln!("baseline {path} must contain `scale nprocs {what}`, got {text:?}");
-        std::process::exit(2);
-    })
-}
+    }
 
-/// Parse the common CLI plus an optional `--check-baseline FILE` flag,
-/// reading FILE when present. `what` names the count field in error
-/// messages (e.g. `max_msgs`).
-pub fn parse_cli(default_scale: f64, default_nprocs: usize, what: &str) -> (Cli, Option<Baseline>) {
-    parse_cli_with(default_scale, default_nprocs, what, |_, _| false)
-}
-
-/// Like [`parse_cli`], additionally offering binary-specific flags the
-/// same way [`cli::parse_with`] does (`compiler_opt` adds `--gate APP`
-/// to select which application's row the baseline bounds).
-pub fn parse_cli_with(
-    default_scale: f64,
-    default_nprocs: usize,
-    what: &str,
-    mut extra: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> bool,
-) -> (Cli, Option<Baseline>) {
-    let mut baseline_path = None;
-    let cli = cli::parse_with(default_scale, default_nprocs, |flag, args| {
-        if flag == "--check-baseline" {
-            match args.next() {
-                Some(p) => baseline_path = Some(p),
-                None => {
-                    eprintln!("error: missing file after --check-baseline");
-                    std::process::exit(2);
-                }
-            }
-            true
-        } else {
-            extra(flag, args)
+    /// Move `spec` to the configuration the baseline was recorded at.
+    /// Counts are only comparable there — silently comparing across
+    /// scales would flag phantom regressions — so the recorded
+    /// `(scale, nprocs)` win over the command line, and a mismatch is
+    /// reported.
+    pub fn pin(&self, spec: &mut RunSpec) {
+        if self.scale != spec.scale || self.nprocs != spec.nprocs {
+            eprintln!(
+                "note: baseline recorded at scale {} / {} procs; \
+                 running the gate there (command line said {} / {})",
+                self.scale, self.nprocs, spec.scale, spec.nprocs
+            );
         }
-    });
-    let baseline = baseline_path.as_deref().map(|p| read_baseline(p, what));
-    (cli, baseline)
-}
-
-/// The configuration the gated sweep must run at. Counts are only
-/// comparable at the configuration the baseline was recorded at —
-/// silently comparing across scales would flag phantom regressions —
-/// so the recorded `(scale, nprocs)` win over the command line, and a
-/// mismatch is reported.
-pub fn gate_config(cli: &Cli, baseline: Option<&Baseline>) -> (f64, usize) {
-    match baseline {
-        Some(b) => {
-            if b.scale != cli.scale || b.nprocs != cli.nprocs {
-                eprintln!(
-                    "note: baseline recorded at scale {} / {} procs; \
-                     running the gate there (command line said {} / {})",
-                    b.scale, b.nprocs, cli.scale, cli.nprocs
-                );
-            }
-            (b.scale, b.nprocs)
-        }
-        None => (cli.scale, cli.nprocs),
+        spec.scale = self.scale;
+        spec.nprocs = self.nprocs;
     }
 }

@@ -1,29 +1,37 @@
 //! # harness — regenerates every table and figure of the paper
 //!
-//! | entry point | paper artifact |
-//! |---|---|
-//! | [`experiments::table1`] | Table 1: data-set sizes and sequential times |
-//! | [`experiments::figure1`] | Figure 1: 8-processor speedups, regular apps |
-//! | `table2` (binary) | Table 2: message/data totals, regular apps |
-//! | [`experiments::figure2_table3`] | Figure 2 + Table 3: irregular apps |
-//! | [`experiments::handopt`] | §5 "Results of Hand Optimizations" |
-//! | [`experiments::interface_ablation`] | §2.3 fork-join interface ablation |
-//! | [`experiments::compiler_opt`] | conclusion: SPF vs SPF+CRI vs hand-coded MPL |
-//! | [`experiments::protocol_compare`] | LRC vs HLRC protocol comparison (extension) |
-//! | [`experiments::scaling`] | 1..8-processor scaling study (extension) |
-//! | `sweep` (binary) | simulator-throughput trajectory (`BENCH_sweep.json`) |
+//! Everything runs through one binary, `dsm`, whose subcommands are
+//! the entry points below (see [`cli`] for the shared command line):
 //!
-//! Each function returns structured rows; the `report` module renders
-//! them as aligned text tables (and CSV) so the binaries under
-//! `src/bin/` print paper-shaped output. The full sweep is wired into
-//! `cargo run --release -p harness --bin all`.
+//! | `dsm` command | library entry point | paper artifact |
+//! |---|---|---|
+//! | `table1` | [`experiments::table1`] | Table 1: data-set sizes and sequential times |
+//! | `figure1` | [`experiments::figure1`] | Figure 1: 8-processor speedups, regular apps |
+//! | `table2` | [`experiments::speedup_rows`] | Table 2: message/data totals, regular apps |
+//! | `figure2_table3` | [`experiments::figure2_table3`] | Figure 2 + Table 3: irregular apps |
+//! | `handopt` | [`experiments::handopt`] | §5 "Results of Hand Optimizations" |
+//! | `interface_ablation` | [`experiments::interface_ablation`] | §2.3 fork-join interface ablation |
+//! | `compiler_opt` | [`experiments::compiler_opt`] | conclusion: SPF vs SPF+CRI vs hand-coded MPL |
+//! | `protocol_compare` | [`experiments::protocol_compare`] | LRC vs HLRC protocol comparison (extension) |
+//! | `scaling` | [`experiments::scaling`] | 1..8-processor scaling study (extension) |
+//! | `page_size` | — | page-size ablation (extension) |
+//! | `races` | — | race-detection gate over every app and protocol |
+//! | `sweep` | [`bench_sweep`] | simulator-throughput trajectory (`BENCH_sweep.json`) |
+//! | `trace` | [`trace_analysis`] | virtual-time breakdown and Perfetto export |
+//! | `analyze` | [`critical_path`] | critical path and sharing diagnostics |
+//! | `all` | — | every table above, in order |
+//!
+//! Each experiment function returns structured rows; the `report`
+//! module renders them as aligned text tables, and
+//! `cargo run --release -p harness --bin dsm -- all` prints the whole
+//! suite.
 //!
 //! Problem scale: experiments accept a `scale` (1.0 = paper sizes).
 //! Because virtual time is simulated, speedups are deterministic; small
 //! scales run in seconds and preserve the paper's qualitative shape,
 //! while `scale = 1.0` reproduces the calibrated magnitudes.
 
-pub mod baseline;
+mod baseline;
 pub mod bench_sweep;
 pub mod cli;
 pub mod critical_path;

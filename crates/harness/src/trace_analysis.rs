@@ -262,7 +262,7 @@ fn walk_app_track(t: &TrackTrace, b: &mut NodeBreakdown, epochs: &mut Vec<EpochB
 // Chrome/Perfetto trace-event export
 // ---------------------------------------------------------------------
 
-fn msg_label(code: u8) -> &'static str {
+pub(crate) fn msg_label(code: u8) -> &'static str {
     ALL_KINDS
         .get(code as usize)
         .map(|k| k.label())
@@ -288,7 +288,7 @@ fn op_label(op: u32) -> &'static str {
     }
 }
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
+pub(crate) fn obj(fields: Vec<(&str, Json)>) -> Json {
     Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
@@ -572,44 +572,6 @@ pub fn validate_chrome_trace(v: &Json) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Run one *extra* traced execution and write its Chrome trace to
-/// `path` — the `--trace-out` implementation shared by the experiment
-/// binaries. Tracing is enabled only on this side run, so the tables'
-/// wall-clock numbers stay tracing-free; the simulated numbers are
-/// identical either way (pinned by the trace-overhead gate test).
-/// Returns the exported event count.
-pub fn export_traced_run(
-    path: &str,
-    engine: sp2sim::EngineKind,
-    protocol: treadmarks::ProtocolMode,
-    app: apps::AppId,
-    version: apps::Version,
-    nprocs: usize,
-    scale: f64,
-) -> Result<usize, String> {
-    let cfg = apps::runner::tmk_config_for_protocol(version, protocol).with_trace(true);
-    let r = apps::runner::run_with_cfg_on(engine, app, version, nprocs, scale, cfg);
-    let trace = r.trace.as_ref().ok_or("run produced no trace")?;
-    let dropped: u64 = trace.tracks.iter().map(|t| t.dropped).sum();
-    if dropped > 0 {
-        eprintln!(
-            "warning: trace dropped {dropped} events (ring-buffer overflow); \
-             the export is a lower bound and will fail --validate"
-        );
-    }
-    let cp = crate::critical_path::compute(trace);
-    let json = to_chrome_trace_with_path(trace, cp.as_ref());
-    match validate_chrome_trace(&json) {
-        Ok(()) => {}
-        // A lossy trace fails validation by design (the dropped-events
-        // instant); still write it out so the partial data is usable.
-        Err(e) if dropped > 0 && e.contains("dropped") => {}
-        Err(e) => return Err(format!("exported trace failed validation: {e}")),
-    }
-    std::fs::write(path, json.render()).map_err(|e| format!("cannot write {path}: {e}"))?;
-    Ok(trace.event_count())
 }
 
 #[cfg(test)]
