@@ -8,7 +8,7 @@
 //! file and the recorded-config-wins rule are shared so both gates keep
 //! one contract.
 
-use crate::cli::{Error, RunSpec};
+use crate::cli::{check_size, Error, RunSpec};
 
 /// Parsed `scale nprocs max_count` baseline record.
 pub struct Baseline {
@@ -36,11 +36,13 @@ impl Baseline {
             })(),
             _ => None,
         };
-        parsed.ok_or_else(|| {
+        let b = parsed.ok_or_else(|| {
             Error::Io(format!(
                 "baseline {path} must contain `scale nprocs {what}`, got {text:?}"
             ))
-        })
+        })?;
+        check_size(b.scale, b.nprocs).map_err(|e| Error::Io(format!("baseline {path}: {e}")))?;
+        Ok(b)
     }
 
     /// Move `spec` to the configuration the baseline was recorded at.

@@ -303,16 +303,29 @@ fn parse(cmd: &Command, argv: &[String]) -> Result<Args, Error> {
         }
         flags.push((flag, value));
     }
-    if spec.nprocs == 0 {
-        return Err(usage("nprocs must be at least 1".into()));
-    }
-    if !(spec.scale.is_finite() && spec.scale > 0.0) {
-        return Err(usage("scale must be a positive finite number".into()));
-    }
-    if flags.iter().any(|(f, _)| *f == "--check") && (positional > 0 || flags.len() > 1) {
+    check_size(spec.scale, spec.nprocs).map_err(usage)?;
+    let given = |flag| flags.iter().any(|(f, _)| *f == flag);
+    if given("--check") && (positional > 0 || flags.len() > 1) {
         return Err(usage("--check FILE takes no other arguments".into()));
     }
+    if given("--seeded") && positional > 0 {
+        return Err(usage(
+            "--seeded runs a fixed program and takes no scale or nprocs".into(),
+        ));
+    }
     Ok(Args { spec, flags })
+}
+
+/// Check a run size, whether it came from the command line or from a
+/// baseline file.
+pub(crate) fn check_size(scale: f64, nprocs: usize) -> Result<(), String> {
+    if nprocs == 0 {
+        return Err("nprocs must be at least 1".into());
+    }
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err("scale must be a positive finite number".into());
+    }
+    Ok(())
 }
 
 /// Parse an application name as accepted by `--app`.

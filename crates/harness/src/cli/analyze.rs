@@ -13,9 +13,11 @@
 //! `--check FILE` re-validates such a document's shape and internal
 //! consistency.
 
+use std::cmp::Reverse;
+
 use apps::RunResult;
 use sp2sim::Category;
-use treadmarks::{FalseSharingReport, LockProfile, PageProfile};
+use treadmarks::{FalseSharingReport, LockProfile, PageProfile, SharingProfile};
 
 use super::tools::traced_run;
 use super::{read, write, Args, Error, Out, RunSpec};
@@ -43,13 +45,20 @@ struct Report<'a> {
     dropped: u64,
     /// Path length == `t_max`, bitwise, on a complete walk.
     exact: bool,
-    /// Pages by descending fault count, then ascending page id.
+    sharing: Sharing<'a>,
+    top: usize,
+}
+
+/// The sharing diagnostics, each ranked strongest first. Ties go to the
+/// lower page id, writer pair or lock id, so the order is total and the
+/// first row of each table is the one to look at.
+struct Sharing<'a> {
+    /// Pages by descending fault count.
     pages: Vec<(usize, &'a PageProfile)>,
     /// False-sharing candidates by descending pair count.
     false_sharing: Vec<&'a FalseSharingReport>,
-    /// Locks by descending blocked time, then ascending lock id.
+    /// Locks by descending blocked time.
     locks: Vec<(u32, &'a LockProfile)>,
-    top: usize,
 }
 
 pub(super) fn analyze(a: &Args, out: Out) -> Result<(), Error> {
@@ -74,12 +83,6 @@ pub(super) fn analyze(a: &Args, out: Out) -> Result<(), Error> {
         .iter()
         .copied()
         .fold(f64::NEG_INFINITY, f64::max);
-    let mut pages: Vec<_> = run.sharing.pages.iter().map(|(k, p)| (*k, p)).collect();
-    pages.sort_by(|a, b| b.1.faults.cmp(&a.1.faults).then(a.0.cmp(&b.0)));
-    let mut false_sharing: Vec<_> = run.false_sharing.iter().collect();
-    false_sharing.sort_by_key(|f| std::cmp::Reverse(f.pairs));
-    let mut locks: Vec<_> = run.sharing.locks.iter().map(|(k, l)| (*k, l)).collect();
-    locks.sort_by(|a, b| b.1.wait_us.total_cmp(&a.1.wait_us).then(a.0.cmp(&b.0)));
     let r = Report {
         spec: a.spec,
         run: &run,
@@ -88,9 +91,7 @@ pub(super) fn analyze(a: &Args, out: Out) -> Result<(), Error> {
         cp,
         t_max,
         dropped,
-        pages,
-        false_sharing,
-        locks,
+        sharing: Sharing::rank(&run.sharing, &run.false_sharing),
         top,
     };
     r.render(out)?;
@@ -204,7 +205,142 @@ impl Report<'_> {
             writeln!(out, "  violation: {v}")?;
         }
 
-        // ---- sharing diagnostics ---------------------------------------
+        self.sharing.render(top, out)?;
+        if !r.race_report.is_empty() {
+            writeln!(
+                out,
+                "WARNING: {} racing interval pair(s) detected",
+                r.race_report.len()
+            )?;
+        }
+        Ok(())
+    }
+
+    /// The `analyze/v1` document.
+    fn to_json(&self) -> Json {
+        let (s, r, cp, dag, top) = (&self.spec, self.run, &self.cp, &self.dag, self.top);
+        let cats = cp.by_category();
+        let cat_obj = obj(cats.iter().map(|(c, v)| (c.label(), num(*v))).collect());
+        let labels = cp
+            .by_label()
+            .into_iter()
+            .map(|(l, v)| obj(vec![("label", Json::Str(l.into())), ("us", num(v))]));
+        let labels = Json::Arr(labels.collect());
+        let msgs = cp.by_message().into_iter().map(|(c, v)| {
+            obj(vec![
+                ("msg", Json::Str(msg_label(c).into())),
+                ("us", num(v)),
+            ])
+        });
+        let msgs = Json::Arr(msgs.collect());
+        let hot = cp
+            .by_node_epoch()
+            .into_iter()
+            .take(top)
+            .map(|((n, e), v)| obj(vec![("node", num(n)), ("epoch", num(e)), ("us", num(v))]));
+        let hot = Json::Arr(hot.collect());
+        let wire_hops = cp
+            .segments
+            .iter()
+            .filter(|s| matches!(s.kind, SegmentKind::Wire { .. }))
+            .count();
+        let pages = self.sharing.pages.iter().take(top).map(|(page, p)| {
+            obj(vec![
+                ("page", num(*page as u32)),
+                ("faults", num(p.faults as f64)),
+                ("page_fetches", num(p.page_fetches as f64)),
+                ("diffs_created", num(p.diffs_created as f64)),
+                ("diff_words_created", num(p.diff_words_created as f64)),
+                ("diffs_applied", num(p.diffs_applied as f64)),
+                ("writers", num(p.writers())),
+                ("max_epoch_writers", num(p.max_epoch_writers)),
+            ])
+        });
+        let false_sharing = self.sharing.false_sharing.iter().take(top).map(|f| {
+            let writers = Json::Arr(vec![num(f.writers.0 as u32), num(f.writers.1 as u32)]);
+            obj(vec![
+                ("page", num(f.page as u32)),
+                ("writers", writers),
+                ("pairs", num(f.pairs as f64)),
+                ("words_a", num(f.words_a as f64)),
+                ("words_b", num(f.words_b as f64)),
+            ])
+        });
+        let locks = self.sharing.locks.iter().map(|(lock, l)| {
+            obj(vec![
+                ("lock", num(*lock)),
+                ("acquires", num(l.acquires as f64)),
+                ("local_hits", num(l.local_hits as f64)),
+                ("wait_us", num(l.wait_us)),
+                ("handoffs", num(l.handoffs as f64)),
+                ("max_chain", num(l.max_chain)),
+            ])
+        });
+        obj(vec![
+            ("schema", Json::Str("analyze/v1".into())),
+            ("app", Json::Str(s.app.name().into())),
+            ("version", Json::Str(s.version.name().into())),
+            ("protocol", Json::Str(s.protocol.to_string())),
+            ("engine", Json::Str(s.engine.to_string())),
+            ("nprocs", num(r.nprocs as u32)),
+            ("scale", num(s.scale)),
+            ("max_final_us", num(self.t_max)),
+            ("dropped", num(self.dropped as f64)),
+            (
+                "critical_path",
+                obj(vec![
+                    ("length_us", num(cp.length_us())),
+                    ("exact", Json::Bool(self.exact)),
+                    ("wait_share", num(cp.wait_share())),
+                    ("start_node", num(cp.start_node)),
+                    ("segments", num(cp.segments.len() as u32)),
+                    ("wire_hops", num(wire_hops as u32)),
+                    ("by_category", cat_obj),
+                    ("by_label", labels),
+                    ("by_message", msgs),
+                    ("hot_node_epochs", hot),
+                    (
+                        "slack_us",
+                        Json::Arr(cp.slack_us.iter().map(|s| num(*s)).collect()),
+                    ),
+                ]),
+            ),
+            (
+                "dag",
+                obj(vec![
+                    ("recvs", num(dag.recvs as f64)),
+                    ("matched_send", num(dag.matched_send as f64)),
+                    ("matched_edge", num(dag.matched_edge as f64)),
+                    ("self_delivered", num(dag.self_delivered as f64)),
+                    ("edges", num(dag.edges as f64)),
+                    ("violations", num(dag.violations.len() as u32)),
+                ]),
+            ),
+            ("pages", Json::Arr(pages.collect())),
+            ("false_sharing", Json::Arr(false_sharing.collect())),
+            ("locks", Json::Arr(locks.collect())),
+            ("races", num(r.race_report.len() as u32)),
+        ])
+    }
+}
+
+impl<'a> Sharing<'a> {
+    fn rank(profile: &'a SharingProfile, false_sharing: &'a [FalseSharingReport]) -> Self {
+        let mut s = Sharing {
+            pages: profile.pages.iter().map(|(k, p)| (*k, p)).collect(),
+            false_sharing: false_sharing.iter().collect(),
+            locks: profile.locks.iter().map(|(k, l)| (*k, l)).collect(),
+        };
+        s.pages.sort_by_key(|&(id, p)| (Reverse(p.faults), id));
+        s.false_sharing
+            .sort_by_key(|f| (Reverse(f.pairs), f.page, f.writers));
+        s.locks
+            .sort_by(|a, b| b.1.wait_us.total_cmp(&a.1.wait_us).then(a.0.cmp(&b.0)));
+        s
+    }
+
+    /// The page heatmap, false-sharing and lock tables, `top` rows each.
+    fn render(&self, top: usize, out: Out) -> Result<(), Error> {
         if !self.pages.is_empty() {
             let mut t = Table::new(vec![
                 "page", "faults", "fetches", "diffs", "dwords", "applied", "writers", "epoch_w",
@@ -266,121 +402,7 @@ impl Report<'_> {
             }
             writeln!(out, "Lock contention:\n\n{}", render_table(&t))?;
         }
-        if !r.race_report.is_empty() {
-            writeln!(
-                out,
-                "WARNING: {} racing interval pair(s) detected",
-                r.race_report.len()
-            )?;
-        }
         Ok(())
-    }
-
-    /// The `analyze/v1` document.
-    fn to_json(&self) -> Json {
-        let (s, r, cp, dag, top) = (&self.spec, self.run, &self.cp, &self.dag, self.top);
-        let cats = cp.by_category();
-        let cat_obj = obj(cats.iter().map(|(c, v)| (c.label(), num(*v))).collect());
-        let labels = cp
-            .by_label()
-            .into_iter()
-            .map(|(l, v)| obj(vec![("label", Json::Str(l.into())), ("us", num(v))]));
-        let labels = Json::Arr(labels.collect());
-        let msgs = cp.by_message().into_iter().map(|(c, v)| {
-            obj(vec![
-                ("msg", Json::Str(msg_label(c).into())),
-                ("us", num(v)),
-            ])
-        });
-        let msgs = Json::Arr(msgs.collect());
-        let hot = cp
-            .by_node_epoch()
-            .into_iter()
-            .take(top)
-            .map(|((n, e), v)| obj(vec![("node", num(n)), ("epoch", num(e)), ("us", num(v))]));
-        let hot = Json::Arr(hot.collect());
-        let wire_hops = cp
-            .segments
-            .iter()
-            .filter(|s| matches!(s.kind, SegmentKind::Wire { .. }))
-            .count();
-        let pages = self.pages.iter().take(top).map(|(page, p)| {
-            obj(vec![
-                ("page", num(*page as u32)),
-                ("faults", num(p.faults as f64)),
-                ("page_fetches", num(p.page_fetches as f64)),
-                ("diffs_created", num(p.diffs_created as f64)),
-                ("diff_words_created", num(p.diff_words_created as f64)),
-                ("diffs_applied", num(p.diffs_applied as f64)),
-                ("writers", num(p.writers())),
-                ("max_epoch_writers", num(p.max_epoch_writers)),
-            ])
-        });
-        let false_sharing = self.false_sharing.iter().take(top).map(|f| {
-            let writers = Json::Arr(vec![num(f.writers.0 as u32), num(f.writers.1 as u32)]);
-            obj(vec![
-                ("page", num(f.page as u32)),
-                ("writers", writers),
-                ("pairs", num(f.pairs as f64)),
-                ("words_a", num(f.words_a as f64)),
-                ("words_b", num(f.words_b as f64)),
-            ])
-        });
-        let locks = self.locks.iter().map(|(lock, l)| {
-            obj(vec![
-                ("lock", num(*lock)),
-                ("acquires", num(l.acquires as f64)),
-                ("local_hits", num(l.local_hits as f64)),
-                ("wait_us", num(l.wait_us)),
-                ("handoffs", num(l.handoffs as f64)),
-                ("max_chain", num(l.max_chain)),
-            ])
-        });
-        obj(vec![
-            ("schema", Json::Str("analyze/v1".into())),
-            ("app", Json::Str(s.app.name().into())),
-            ("version", Json::Str(s.version.name().into())),
-            ("protocol", Json::Str(s.protocol.to_string())),
-            ("engine", Json::Str(s.engine.to_string())),
-            ("nprocs", num(r.nprocs as u32)),
-            ("scale", num(s.scale)),
-            ("max_final_us", num(self.t_max)),
-            ("dropped", num(self.dropped as f64)),
-            (
-                "critical_path",
-                obj(vec![
-                    ("length_us", num(cp.length_us())),
-                    ("exact", Json::Bool(self.exact)),
-                    ("wait_share", num(cp.wait_share())),
-                    ("start_node", num(cp.start_node)),
-                    ("segments", num(cp.segments.len() as u32)),
-                    ("wire_hops", num(wire_hops as u32)),
-                    ("by_category", cat_obj),
-                    ("by_label", labels),
-                    ("by_message", msgs),
-                    ("hot_node_epochs", hot),
-                    (
-                        "slack_us",
-                        Json::Arr(cp.slack_us.iter().map(|s| num(*s)).collect()),
-                    ),
-                ]),
-            ),
-            (
-                "dag",
-                obj(vec![
-                    ("recvs", num(dag.recvs as f64)),
-                    ("matched_send", num(dag.matched_send as f64)),
-                    ("matched_edge", num(dag.matched_edge as f64)),
-                    ("self_delivered", num(dag.self_delivered as f64)),
-                    ("edges", num(dag.edges as f64)),
-                    ("violations", num(dag.violations.len() as u32)),
-                ]),
-            ),
-            ("pages", Json::Arr(pages.collect())),
-            ("false_sharing", Json::Arr(false_sharing.collect())),
-            ("locks", Json::Arr(locks.collect())),
-            ("races", num(r.race_report.len() as u32)),
-        ])
     }
 }
 
@@ -468,4 +490,66 @@ fn check_report(doc: &Json) -> Result<String, String> {
     Ok(format!(
         "path {len:.1} us, exact={exact}, {n_pages} pages, {n_fs} false-sharing candidates"
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fs(page: usize, writers: (usize, usize), pairs: u64) -> FalseSharingReport {
+        FalseSharingReport {
+            page,
+            writers,
+            pairs,
+            words_a: 1,
+            words_b: 1,
+        }
+    }
+
+    #[test]
+    fn sharing_ranks_strongest_first_with_id_tie_breaks() {
+        let page = |faults| {
+            let mut p = PageProfile::default();
+            p.faults = faults;
+            p
+        };
+        let lock = |wait_us| {
+            let mut l = LockProfile::default();
+            l.acquires = 1;
+            l.wait_us = wait_us;
+            l
+        };
+        let profile = SharingProfile {
+            pages: vec![(0, page(1)), (1, page(5)), (2, page(5))],
+            locks: vec![(1, lock(5.0)), (2, lock(9.0)), (3, lock(9.0))],
+        };
+        let candidates = [
+            fs(0, (1, 2), 1),
+            fs(2, (2, 3), 3),
+            fs(1, (0, 2), 3),
+            fs(1, (0, 1), 3),
+        ];
+        let s = Sharing::rank(&profile, &candidates);
+        let pages: Vec<_> = s.pages.iter().map(|(p, _)| *p).collect();
+        assert_eq!(pages, [1, 2, 0]);
+        let fs: Vec<_> = s
+            .false_sharing
+            .iter()
+            .map(|f| (f.page, f.writers))
+            .collect();
+        assert_eq!(fs, [(1, (0, 1)), (1, (0, 2)), (2, (2, 3)), (0, (1, 2))]);
+        let locks: Vec<_> = s.locks.iter().map(|(l, _)| *l).collect();
+        assert_eq!(locks, [2, 3, 1]);
+
+        // With one row per table, each table shows its top entry.
+        let mut out = Vec::new();
+        s.render(1, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let rows: Vec<Vec<&str>> = text
+            .lines()
+            .filter(|l| l.starts_with(|c: char| c.is_ascii_digit()))
+            .map(|l| l.split_whitespace().take(2).collect())
+            .collect();
+        assert_eq!(rows, [["1", "5"], ["1", "0/1"], ["2", "1"]], "{text}");
+    }
 }

@@ -11,7 +11,7 @@ use super::{read, write, Args, Error, Out, RunSpec};
 use crate::bench_sweep::{full_grid, smoke_grid, CellSpec, SCHEMA};
 use crate::report::{f1, render_table, Table};
 use crate::trace_analysis::{analyze, to_chrome_trace_with_path, validate_chrome_trace};
-use crate::{longest_first, sweep_map, Json, SweepCell, SweepDoc};
+use crate::{longest_first, sweep_map, Json, SweepDoc};
 
 /// Run `spec` once more with tracing on — and race-detection provenance
 /// too when `races` — returning the result, its trace and the number of
@@ -136,22 +136,15 @@ pub(super) fn sweep(a: &Args, out: Out) -> Result<(), Error> {
     // Sequential-engine cells fan out across cores, longest expected
     // first; threaded-engine cells each spawn a thread per node already
     // and run one after another.
-    let (seq, thr): (Vec<CellSpec>, Vec<CellSpec>) = cells
+    let (mut seq, thr): (Vec<CellSpec>, Vec<CellSpec>) = cells
         .iter()
         .partition(|c| c.engine == EngineKind::Sequential);
-    let mut tagged: Vec<(usize, CellSpec)> = seq.into_iter().enumerate().collect();
-    longest_first(&mut tagged, |&(_, c)| c.expected_cost());
-    let mut done: Vec<Option<SweepCell>> = vec![None; tagged.len()];
-    for (i, cell) in sweep_map(EngineKind::Sequential, tagged, |(i, spec)| (i, spec.run())) {
-        done[i] = Some(cell);
-    }
-    let mut all: Vec<SweepCell> = done
-        .into_iter()
-        .map(|c| c.expect("every cell ran"))
-        .collect();
+    longest_first(&mut seq, CellSpec::expected_cost);
+    let mut all = sweep_map(EngineKind::Sequential, seq, |c| c.run());
     all.extend(thr.iter().map(CellSpec::run));
     // Canonical file order, independent of the execution schedule:
-    // paper app order, then protocol, engine, scale, page size.
+    // paper app order, then protocol, engine, scale, page size (a
+    // unique key: the grid has one cell per combination).
     all.sort_by_key(|c| {
         let app = AppId::ALL.iter().position(|a| a.name() == c.app);
         let (protocol, engine) = (c.protocol.name(), c.engine.name());

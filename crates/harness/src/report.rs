@@ -1,4 +1,5 @@
-//! Minimal aligned-text table rendering for the `dsm` commands.
+//! Minimal aligned-text table rendering (plus CSV) for the `dsm`
+//! commands.
 
 /// A simple table: header plus rows of strings.
 #[derive(Clone, Debug, Default)]
@@ -23,6 +24,18 @@ impl Table {
         let cells: Vec<String> = cells.into_iter().map(Into::into).collect();
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows.push(cells);
+    }
+
+    /// CSV rendering.
+    pub fn to_csv(&self) -> String {
+        let mut out = String::new();
+        out.push_str(&self.header.join(","));
+        out.push('\n');
+        for r in &self.rows {
+            out.push_str(&r.join(","));
+            out.push('\n');
+        }
+        out
     }
 }
 
@@ -89,6 +102,13 @@ mod tests {
         // Right alignment of the numeric column.
         assert!(lines[2].ends_with("8538"));
         assert!(lines[3].ends_with("52818"));
+    }
+
+    #[test]
+    fn csv_roundtrip_shape() {
+        let mut t = Table::new(vec!["a", "b"]);
+        t.row(vec!["1", "2"]);
+        assert_eq!(t.to_csv(), "a,b\n1,2\n");
     }
 
     #[test]

@@ -153,6 +153,8 @@ fn rejects_what_a_command_does_not_read() {
         "table1 0.03 --protocol hlrc",
         "protocol_compare 0.03 4 --protocol hlrc",
         "races 0.03 4 --protocol hlrc",
+        "races 0.03 4 --seeded",
+        "races 0.5 --seeded --engine threaded",
         "trace --check trace.json --app igrid",
         "analyze --check report.json 0.03",
         // An --app naming no row, or given without the gate it selects.
@@ -220,8 +222,10 @@ fn gate_failures() {
     }
     let short = baseline(&dir, "short.txt", "0.03 4\n");
     let garbage = baseline(&dir, "garbage.txt", "scale nprocs max\n");
+    let no_procs = baseline(&dir, "no_procs.txt", "0.03 0 5\n");
+    let nan_scale = baseline(&dir, "nan_scale.txt", "NaN 4 5\n");
     let missing = dir.join("missing.txt").display().to_string();
-    for file in [short, garbage, missing] {
+    for file in [short, garbage, no_procs, nan_scale, missing] {
         for cmd in ["compiler_opt", "protocol_compare"] {
             let (result, out) = dsm(&format!("{cmd} --check-baseline {file}"));
             let code = result.as_ref().map_err(Error::exit_code);
