@@ -326,17 +326,13 @@ impl Report<'_> {
 
 impl<'a> Sharing<'a> {
     fn rank(profile: &'a SharingProfile, false_sharing: &'a [FalseSharingReport]) -> Self {
-        let mut s = Sharing {
-            pages: profile.pages.iter().map(|(k, p)| (*k, p)).collect(),
-            false_sharing: false_sharing.iter().collect(),
-            locks: profile.locks.iter().map(|(k, l)| (*k, l)).collect(),
-        };
-        s.pages.sort_by_key(|&(id, p)| (Reverse(p.faults), id));
-        s.false_sharing
-            .sort_by_key(|f| (Reverse(f.pairs), f.page, f.writers));
-        s.locks
-            .sort_by(|a, b| b.1.wait_us.total_cmp(&a.1.wait_us).then(a.0.cmp(&b.0)));
-        s
+        let mut false_sharing: Vec<_> = false_sharing.iter().collect();
+        false_sharing.sort_by_key(|f| (Reverse(f.pairs), f.page, f.writers));
+        Sharing {
+            pages: profile.hot_pages(),
+            false_sharing,
+            locks: profile.hot_locks(),
+        }
     }
 
     /// The page heatmap, false-sharing and lock tables, `top` rows each.

@@ -140,23 +140,13 @@ pub(super) fn sweep(a: &Args, out: Out) -> Result<(), Error> {
         .iter()
         .partition(|c| c.engine == EngineKind::Sequential);
     longest_first(&mut seq, CellSpec::expected_cost);
-    let mut all = sweep_map(EngineKind::Sequential, seq, |c| c.run());
-    all.extend(thr.iter().map(CellSpec::run));
-    // Canonical file order, independent of the execution schedule:
-    // paper app order, then protocol, engine, scale, page size (a
-    // unique key: the grid has one cell per combination).
-    all.sort_by_key(|c| {
-        let app = AppId::ALL.iter().position(|a| a.name() == c.app);
-        let (protocol, engine) = (c.protocol.name(), c.engine.name());
-        (
-            app.unwrap_or(usize::MAX),
-            protocol,
-            engine,
-            c.scale.to_bits(),
-            c.page_words,
-        )
-    });
-    let doc = SweepDoc { cells: all };
+    let run = |c: &CellSpec| (c.file_key(), c.run());
+    let mut all = sweep_map(EngineKind::Sequential, seq, |c| run(&c));
+    all.extend(thr.iter().map(run));
+    all.sort_by_key(|(key, _)| *key);
+    let doc = SweepDoc {
+        cells: all.into_iter().map(|(_, cell)| cell).collect(),
+    };
     let path = a.get("--out").unwrap_or("BENCH_sweep.json");
     write(path, &doc.render())?;
     sweep_summary(&doc, out)?;

@@ -33,6 +33,8 @@ use std::collections::HashMap;
 
 use sp2sim::{seq_sender, Category, EventKind, SpanKind, TraceData, TracePort, TrackTrace};
 
+use crate::trace_analysis::{walk_spans, Walked};
+
 /// What one critical-path segment was doing.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SegmentKind {
@@ -158,107 +160,111 @@ impl CriticalPath {
 
     /// Path time per `(node, epoch)`, descending.
     pub fn by_node_epoch(&self) -> Vec<((u32, u32), f64)> {
-        let mut acc: Vec<((u32, u32), f64)> = Vec::new();
-        for s in &self.segments {
-            let key = (s.node, s.epoch);
-            match acc.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, v)) => *v += s.dur_us(),
-                None => acc.push((key, s.dur_us())),
-            }
-        }
-        acc.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        acc
+        self.sum_by(|s| Some((s.node, s.epoch)))
     }
 
     /// Wire time per message kind code, descending.
     pub fn by_message(&self) -> Vec<(u8, f64)> {
-        let mut acc: Vec<(u8, f64)> = Vec::new();
-        for s in &self.segments {
-            if let SegmentKind::Wire { code, .. } = s.kind {
-                match acc.iter_mut().find(|(k, _)| *k == code) {
-                    Some((_, v)) => *v += s.dur_us(),
-                    None => acc.push((code, s.dur_us())),
-                }
-            }
-        }
-        acc.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        acc
+        self.sum_by(|s| match s.kind {
+            SegmentKind::Wire { code, .. } => Some(code),
+            _ => None,
+        })
     }
 
     /// Path time per segment label (span kind, "service", "wire", …),
     /// descending — the analyzer's "top contributors" view.
     pub fn by_label(&self) -> Vec<(&'static str, f64)> {
-        let mut acc: Vec<(&'static str, f64)> = Vec::new();
+        self.sum_by(|s| Some(s.kind.label()))
+    }
+
+    /// Path time summed per `key` of each segment (segments keyed
+    /// `None` are left out), descending, ties to the lower key.
+    fn sum_by<K: Ord>(&self, key: impl Fn(&Segment) -> Option<K>) -> Vec<(K, f64)> {
+        let mut acc: Vec<(K, f64)> = Vec::new();
         for s in &self.segments {
-            let l = s.kind.label();
-            match acc.iter_mut().find(|(k, _)| *k == l) {
+            let Some(k) = key(s) else { continue };
+            match acc.iter_mut().find(|(a, _)| *a == k) {
                 Some((_, v)) => *v += s.dur_us(),
-                None => acc.push((l, s.dur_us())),
+                None => acc.push((k, s.dur_us())),
             }
         }
-        acc.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
+        acc.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         acc
     }
 }
 
-/// What the app track looked like over time: the innermost attribution
-/// as a piecewise-constant timeline, plus the epoch marker times.
-struct AppInfo {
-    track: Option<usize>,
+/// A node's app track as the backward walk reads it: the innermost
+/// attribution as a piecewise-constant timeline (from the span walker)
+/// and the epoch marks.
+struct Timeline<'a> {
+    track: Option<&'a TrackTrace>,
     timeline: Vec<(f64, SegmentKind)>,
-    epoch_marks: Vec<f64>,
+    marks: Vec<(f64, u32)>,
 }
 
-impl AppInfo {
-    fn empty() -> Self {
-        AppInfo {
-            track: None,
-            timeline: vec![(0.0, SegmentKind::Uncovered)],
-            epoch_marks: Vec::new(),
-        }
-    }
-
-    fn from_track(idx: usize, t: &TrackTrace) -> Self {
+impl<'a> Timeline<'a> {
+    fn of(track: Option<&'a TrackTrace>, final_us: f64) -> Self {
         let mut timeline = vec![(0.0, SegmentKind::Uncovered)];
-        let mut epoch_marks = Vec::new();
-        let mut stack: Vec<SpanKind> = Vec::new();
-        let top = |stack: &Vec<SpanKind>| {
-            stack
-                .last()
-                .map(|&k| SegmentKind::Span(k))
-                .unwrap_or(SegmentKind::Uncovered)
-        };
-        for e in &t.events {
-            match e.kind {
-                EventKind::Begin { kind, .. } => {
-                    stack.push(kind);
-                    timeline.push((e.vt_us, SegmentKind::Span(kind)));
+        let marks = track.map_or_else(Vec::new, |t| {
+            let walk = walk_spans(t, final_us, |w| {
+                if let Walked::Top { at, kind } = w {
+                    timeline.push((at, kind));
                 }
-                EventKind::End { kind } => {
-                    if let Some(i) = stack.iter().rposition(|&k| k == kind) {
-                        stack.remove(i);
-                    }
-                    timeline.push((e.vt_us, top(&stack)));
-                }
-                EventKind::Send { wire_us, .. } => {
-                    timeline.push((e.vt_us, SegmentKind::SendBusy));
-                    timeline.push((e.vt_us + wire_us, top(&stack)));
-                }
-                EventKind::Epoch { .. } => epoch_marks.push(e.vt_us),
-                _ => {}
-            }
-        }
-        AppInfo {
-            track: Some(idx),
+            });
+            walk.marks
+        });
+        Timeline {
+            track,
             timeline,
-            epoch_marks,
+            marks,
         }
     }
 
     /// Epoch bin of time `t`: markers strictly before `t` (a span
     /// ending exactly at a marker still belongs to the closing epoch).
     fn epoch_of(&self, t: f64) -> u32 {
-        self.epoch_marks.partition_point(|&m| m < t) as u32
+        self.marks.partition_point(|&(m, _)| m < t) as u32
+    }
+}
+
+/// Every `Send` and `Edge` event by the correlation id it carries:
+/// seq → (track, event).
+struct SeqIndex<'a> {
+    sends: HashMap<u64, (&'a TrackTrace, usize)>,
+    edges: HashMap<u64, (&'a TrackTrace, usize)>,
+}
+
+impl<'a> SeqIndex<'a> {
+    fn new(data: &'a TraceData) -> Self {
+        let (mut sends, mut edges) = (HashMap::new(), HashMap::new());
+        for t in &data.tracks {
+            for (ei, e) in t.events.iter().enumerate() {
+                match e.kind {
+                    EventKind::Send { seq, .. } => sends.insert(seq, (t, ei)),
+                    EventKind::Edge { out_seq, .. } => edges.insert(out_seq, (t, ei)),
+                    _ => None,
+                };
+            }
+        }
+        SeqIndex { sends, edges }
+    }
+
+    /// The send of `seq`: its track, event index, time and message code.
+    fn send(&self, seq: u64) -> Option<(&'a TrackTrace, usize, f64, u8)> {
+        let &(t, ei) = self.sends.get(&seq)?;
+        match t.events[ei].kind {
+            EventKind::Send { code, .. } => Some((t, ei, t.events[ei].vt_us, code)),
+            _ => unreachable!("sends index Send events"),
+        }
+    }
+
+    /// The edge that enabled `seq`: its node, anchor time and cause.
+    fn edge(&self, seq: u64) -> Option<(u32, f64, u64)> {
+        let &(t, ei) = self.edges.get(&seq)?;
+        match t.events[ei].kind {
+            EventKind::Edge { cause_seq, .. } => Some((t.node, t.events[ei].vt_us, cause_seq)),
+            _ => unreachable!("edges index Edge events"),
+        }
     }
 }
 
@@ -280,10 +286,8 @@ enum Step {
 }
 
 struct Walker<'a> {
-    data: &'a TraceData,
-    apps: Vec<AppInfo>,
-    send_index: HashMap<u64, (usize, usize)>,
-    edge_index: HashMap<u64, (usize, usize)>,
+    apps: Vec<Timeline<'a>>,
+    index: SeqIndex<'a>,
     segments: Vec<Segment>,
     last_lo: f64,
     contiguous: bool,
@@ -303,12 +307,9 @@ impl<'a> Walker<'a> {
 
     /// Number of app-track events of `node` at virtual time <= `t`.
     fn cnt_at(&self, node: u32, t: f64) -> usize {
-        match self.apps[node as usize].track {
-            Some(ti) => self.data.tracks[ti]
-                .events
-                .partition_point(|e| e.vt_us <= t),
-            None => 0,
-        }
+        self.apps[node as usize]
+            .track
+            .map_or(0, |tr| tr.events.partition_point(|e| e.vt_us <= t))
     }
 
     /// Emit the local stretch `[lo, hi]` on `node`'s app track, split
@@ -352,11 +353,11 @@ impl<'a> Walker<'a> {
     fn step(&mut self, s: Step) -> Option<Step> {
         match s {
             Step::Local { node, cnt, t } => {
-                let Some(ti) = self.apps[node as usize].track else {
+                let Some(track) = self.apps[node as usize].track else {
                     self.emit_local(node, 0.0, t);
                     return None;
                 };
-                let events = &self.data.tracks[ti].events;
+                let events = &track.events;
                 let mut found = None;
                 for j in (0..cnt.min(events.len())).rev() {
                     if let EventKind::Recv { seq, wait_us, .. } = events[j].kind {
@@ -388,12 +389,7 @@ impl<'a> Walker<'a> {
                 rnode,
                 hint,
             } => {
-                if let Some(&(ti, ei)) = self.send_index.get(&seq) {
-                    let st = &self.data.tracks[ti];
-                    let (svt, code) = match st.events[ei].kind {
-                        EventKind::Send { code, .. } => (st.events[ei].vt_us, code),
-                        _ => unreachable!("send_index points at Send events"),
-                    };
+                if let Some((st, ei, svt, code)) = self.index.send(seq) {
                     let (snode, sport) = (st.node, st.port);
                     let epoch = self.apps[rnode as usize].epoch_of(rt);
                     self.push(Segment {
@@ -412,23 +408,8 @@ impl<'a> Walker<'a> {
                     }
                     // Service-track send: follow its causal edge back to
                     // the enabling moment.
-                    return Some(match self.edge_index.get(&seq) {
-                        Some(&(eti, eei)) => {
-                            let ev = &self.data.tracks[eti].events[eei];
-                            let (a, cause) = match ev.kind {
-                                EventKind::Edge { cause_seq, .. } => (ev.vt_us, cause_seq),
-                                _ => unreachable!("edge_index points at Edge events"),
-                            };
-                            let epoch = self.apps[snode as usize].epoch_of(svt);
-                            self.push(Segment {
-                                lo_us: a,
-                                hi_us: svt,
-                                node: snode,
-                                epoch,
-                                kind: SegmentKind::Service,
-                            });
-                            self.follow_cause(cause, snode, a)
-                        }
+                    return Some(match self.index.edge(seq) {
+                        Some((_, a, cause)) => self.service(snode, a, svt, cause),
                         None => {
                             self.unresolved += 1;
                             Step::Local {
@@ -439,26 +420,12 @@ impl<'a> Walker<'a> {
                         }
                     });
                 }
-                if let Some(&(eti, eei)) = self.edge_index.get(&seq) {
+                if let Some((en, a, cause)) = self.index.edge(seq) {
                     // Self-delivered packet (no Send event) with an
                     // edge: a service upcall to the node's own app
                     // thread (reduce roots, self lock grants, barrier
                     // and join departures to the manager node).
-                    let en = self.data.tracks[eti].node;
-                    let ev = &self.data.tracks[eti].events[eei];
-                    let (a, cause) = match ev.kind {
-                        EventKind::Edge { cause_seq, .. } => (ev.vt_us, cause_seq),
-                        _ => unreachable!("edge_index points at Edge events"),
-                    };
-                    let epoch = self.apps[en as usize].epoch_of(rt);
-                    self.push(Segment {
-                        lo_us: a,
-                        hi_us: rt,
-                        node: en,
-                        epoch,
-                        kind: SegmentKind::Service,
-                    });
-                    return Some(self.follow_cause(cause, en, a));
+                    return Some(self.service(en, a, rt, cause));
                 }
                 // No Send event and no Edge: decode the producer from
                 // the id. A same-node endpoint means an app-level
@@ -481,6 +448,20 @@ impl<'a> Walker<'a> {
                 })
             }
         }
+    }
+
+    /// Service-side handling and gating on `node` from an edge's anchor
+    /// `a` up to `hi`, then on to the edge's cause.
+    fn service(&mut self, node: u32, a: f64, hi: f64, cause: u64) -> Step {
+        let epoch = self.apps[node as usize].epoch_of(hi);
+        self.push(Segment {
+            lo_us: a,
+            hi_us: hi,
+            node,
+            epoch,
+            kind: SegmentKind::Service,
+        });
+        self.follow_cause(cause, node, a)
     }
 
     fn follow_cause(&mut self, cause: u64, node: u32, anchor: f64) -> Step {
@@ -509,28 +490,8 @@ pub fn compute(data: &TraceData) -> Option<CriticalPath> {
     if data.final_us.is_empty() || data.tracks.is_empty() {
         return None;
     }
-    let n = data.final_us.len();
-    let mut apps: Vec<AppInfo> = (0..n).map(|_| AppInfo::empty()).collect();
-    let mut send_index = HashMap::new();
-    let mut edge_index = HashMap::new();
-    for (ti, t) in data.tracks.iter().enumerate() {
-        if t.port == TracePort::App {
-            if let Some(slot) = apps.get_mut(t.node as usize) {
-                *slot = AppInfo::from_track(ti, t);
-            }
-        }
-        for (ei, e) in t.events.iter().enumerate() {
-            match e.kind {
-                EventKind::Send { seq, .. } => {
-                    send_index.insert(seq, (ti, ei));
-                }
-                EventKind::Edge { out_seq, .. } => {
-                    edge_index.insert(out_seq, (ti, ei));
-                }
-                _ => {}
-            }
-        }
-    }
+    let apps = data.final_us.iter().enumerate();
+    let apps = apps.map(|(node, &f)| Timeline::of(data.track(node as u32, TracePort::App), f));
     let (start_node, start_us) = data
         .final_us
         .iter()
@@ -539,10 +500,8 @@ pub fn compute(data: &TraceData) -> Option<CriticalPath> {
         .map(|(i, &t)| (i as u32, t))?;
     let lossy = data.tracks.iter().any(|t| t.dropped > 0);
     let mut w = Walker {
-        data,
-        apps,
-        send_index,
-        edge_index,
+        apps: apps.collect(),
+        index: SeqIndex::new(data),
         segments: Vec::new(),
         last_lo: start_us,
         contiguous: true,
@@ -614,28 +573,14 @@ impl DagCheck {
 /// dependence points backward in virtual time (acyclicity — time is the
 /// topological order).
 pub fn check_dag(data: &TraceData) -> DagCheck {
-    let mut send_vt: HashMap<u64, (u32, f64)> = HashMap::new();
-    let mut edge_vt: HashMap<u64, (u32, f64)> = HashMap::new();
-    for t in &data.tracks {
-        for e in &t.events {
-            match e.kind {
-                EventKind::Send { seq, .. } => {
-                    send_vt.insert(seq, (t.node, e.vt_us));
-                }
-                EventKind::Edge { out_seq, .. } => {
-                    edge_vt.insert(out_seq, (t.node, e.vt_us));
-                }
-                _ => {}
-            }
-        }
-    }
+    let ix = SeqIndex::new(data);
     let mut c = DagCheck::default();
     for t in &data.tracks {
         for e in &t.events {
             match e.kind {
                 EventKind::Recv { seq, .. } => {
                     c.recvs += 1;
-                    if let Some(&(_, svt)) = send_vt.get(&seq) {
+                    if let Some((_, _, svt, _)) = ix.send(seq) {
                         c.matched_send += 1;
                         if svt > e.vt_us {
                             c.violations.push(format!(
@@ -643,7 +588,7 @@ pub fn check_dag(data: &TraceData) -> DagCheck {
                                 e.vt_us
                             ));
                         }
-                    } else if let Some(&(_, evt)) = edge_vt.get(&seq) {
+                    } else if let Some((_, evt, _)) = ix.edge(seq) {
                         c.matched_edge += 1;
                         if evt > e.vt_us {
                             c.violations.push(format!(
@@ -664,7 +609,7 @@ pub fn check_dag(data: &TraceData) -> DagCheck {
                     out_seq, cause_seq, ..
                 } => {
                     c.edges += 1;
-                    if let Some(&(_, svt)) = send_vt.get(&out_seq) {
+                    if let Some((_, _, svt, _)) = ix.send(out_seq) {
                         if e.vt_us > svt {
                             c.violations.push(format!(
                                 "edge for {out_seq:#x} anchored at {} us after its send at {svt} us",
@@ -673,8 +618,8 @@ pub fn check_dag(data: &TraceData) -> DagCheck {
                         }
                     }
                     if cause_seq != 0
-                        && !send_vt.contains_key(&cause_seq)
-                        && !edge_vt.contains_key(&cause_seq)
+                        && !ix.sends.contains_key(&cause_seq)
+                        && !ix.edges.contains_key(&cause_seq)
                         && seq_sender(cause_seq).0 != t.node as usize
                     {
                         c.violations.push(format!(
@@ -696,11 +641,7 @@ mod tests {
     use sp2sim::{EdgeKind, Event};
 
     fn ev(vt: f64, kind: EventKind) -> Event {
-        Event {
-            vt_us: vt,
-            host_ns: 0,
-            kind,
-        }
+        Event { vt_us: vt, kind }
     }
 
     fn track(node: u32, port: TracePort, events: Vec<Event>) -> TrackTrace {

@@ -49,10 +49,6 @@ impl Json {
         }
     }
 
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().map(|x| x as usize)
-    }
-
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),

@@ -3,30 +3,33 @@
 //! Everything runs through one binary, `dsm`, whose subcommands are
 //! the entry points below (see [`cli`] for the shared command line):
 //!
-//! | `dsm` command | library entry point | paper artifact |
-//! |---|---|---|
-//! | `table1` | [`experiments::table1`] | Table 1: data-set sizes and sequential times |
-//! | `figure1` | [`experiments::figure1`] | Figure 1: 8-processor speedups, regular apps |
-//! | `table2` | [`experiments::speedup_rows`] | Table 2: message/data totals, regular apps |
-//! | `figure2_table3` | [`experiments::figure2_table3`] | Figure 2 + Table 3: irregular apps |
-//! | `handopt` | [`experiments::handopt`] | §5 "Results of Hand Optimizations" |
-//! | `interface_ablation` | [`experiments::interface_ablation`] | §2.3 fork-join interface ablation |
-//! | `compiler_opt` | [`experiments::compiler_opt`] | conclusion: SPF vs SPF+CRI vs hand-coded MPL |
-//! | `protocol_compare` | [`experiments::protocol_compare`] | LRC vs HLRC protocol comparison (extension) |
-//! | `scaling` | [`experiments::scaling`] | 1..8-processor scaling study (extension) |
-//! | `page_size` | — | page-size ablation (extension) |
-//! | `races` | — | race-detection gate over every app and protocol |
-//! | `sweep` | [`bench_sweep`] | simulator-throughput trajectory (`BENCH_sweep.json`) |
-//! | `trace` | [`trace_analysis`] | virtual-time breakdown and Perfetto export |
-//! | `analyze` | [`critical_path`] | critical path and sharing diagnostics |
-//! | `all` | — | every table above, in order |
+//! | `dsm` command | paper artifact |
+//! |---|---|
+//! | `table1` | Table 1: data-set sizes and sequential times |
+//! | `figure1` | Figure 1: 8-processor speedups, regular apps |
+//! | `table2` | Table 2: message/data totals, regular apps |
+//! | `figure2_table3` | Figure 2 + Table 3: irregular apps |
+//! | `handopt` | §5 "Results of Hand Optimizations" |
+//! | `interface_ablation` | §2.3 fork-join interface ablation |
+//! | `compiler_opt` | conclusion: SPF vs SPF+CRI vs hand-coded MPL |
+//! | `protocol_compare` | LRC vs HLRC protocol comparison (extension) |
+//! | `scaling` | 1..8-processor scaling study (extension) |
+//! | `page_size` | page-size ablation (extension) |
+//! | `races` | race-detection gate over every app and protocol |
+//! | `sweep` | simulator-throughput trajectory (`BENCH_sweep.json`, [`bench_sweep`]) |
+//! | `trace` | virtual-time breakdown and Perfetto export ([`trace_analysis`]) |
+//! | `analyze` | critical path and sharing diagnostics ([`critical_path`]) |
+//! | `all` | every table above, in order |
 //!
-//! Each experiment function returns structured rows; the `report`
-//! module renders them as aligned text tables, and
+//! Each table command lists the simulations it needs, runs them through
+//! one parallel job runner ([`sweep_map`]: one single-threaded
+//! simulation per core on the sequential engine) and renders the
+//! results as aligned text with [`report`];
 //! `cargo run --release -p harness --bin dsm -- all` prints the whole
 //! suite.
 //!
-//! Problem scale: experiments accept a `scale` (1.0 = paper sizes).
+//! Problem scale: the commands that run simulations take a `scale`
+//! (1.0 = paper sizes).
 //! Because virtual time is simulated, speedups are deterministic; small
 //! scales run in seconds and preserve the paper's qualitative shape,
 //! while `scale = 1.0` reproduces the calibrated magnitudes.
@@ -35,7 +38,6 @@ mod baseline;
 pub mod bench_sweep;
 pub mod cli;
 pub mod critical_path;
-pub mod experiments;
 pub mod json;
 pub mod report;
 pub mod sweep;
@@ -43,11 +45,6 @@ pub mod trace_analysis;
 
 pub use bench_sweep::{CellSpec, SweepCell, SweepDoc};
 pub use critical_path::{check_dag, CriticalPath, DagCheck, Segment, SegmentKind};
-pub use experiments::{
-    compiler_opt, figure1, figure2_table3, handopt, interface_ablation, protocol_compare, scaling,
-    speedup_rows, table1, CompilerOptRow, HandOptRow, ProtocolCompareRow, ScaleRow, SeqRow,
-    SpeedupRow,
-};
 pub use json::Json;
 pub use report::{render_table, Table};
 pub use sweep::{longest_first, sweep_map};

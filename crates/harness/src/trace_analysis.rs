@@ -35,7 +35,7 @@
 use sp2sim::stats::ALL_KINDS;
 use sp2sim::{Category, EventKind, SpanKind, TraceData, TracePort, TrackTrace};
 
-use crate::critical_path::CriticalPath;
+use crate::critical_path::{CriticalPath, SegmentKind};
 use crate::json::Json;
 
 /// Per-node four-way time attribution over the whole run.
@@ -82,6 +82,16 @@ impl NodeBreakdown {
     pub fn accounted_us(&self) -> f64 {
         self.covered_compute_us + self.wait_us + self.service_us + self.wire_us
     }
+
+    /// The total a category's self time is charged to.
+    fn category_mut(&mut self, c: Category) -> &mut f64 {
+        match c {
+            Category::Compute => &mut self.covered_compute_us,
+            Category::Wait => &mut self.wait_us,
+            Category::Service => &mut self.service_us,
+            Category::Wire => &mut self.wire_us,
+        }
+    }
 }
 
 /// Per-epoch category sums, aggregated over nodes. Epochs are the
@@ -96,6 +106,17 @@ pub struct EpochBreakdown {
     pub wire_us: f64,
     /// Spans attributed to this epoch (by their end time).
     pub spans: u64,
+}
+
+impl EpochBreakdown {
+    fn category_mut(&mut self, c: Category) -> &mut f64 {
+        match c {
+            Category::Compute => &mut self.compute_us,
+            Category::Wait => &mut self.wait_us,
+            Category::Service => &mut self.service_us,
+            Category::Wire => &mut self.wire_us,
+        }
+    }
 }
 
 /// The analyzed trace: per-node attributions plus per-epoch bins.
@@ -131,12 +152,117 @@ impl TraceAnalysis {
     }
 }
 
-struct Open {
-    kind: SpanKind,
-    begin: f64,
-    /// Virtual time consumed by enclosed spans and sends — subtracted
-    /// from the duration to get the span's self time.
-    debit: f64,
+/// What [`walk_spans`] reports about an app track, in event order.
+pub(crate) enum Walked {
+    /// A span closed, with `self_us` of self time. `bin` is its epoch
+    /// bin, `None` for a span that never closed and was cut at the
+    /// node's final clock.
+    Span {
+        kind: SpanKind,
+        self_us: f64,
+        bin: Option<usize>,
+    },
+    /// A send charged `wire_us` of occupancy to the app clock.
+    Send { wire_us: f64, bin: usize },
+    /// From `at` on, `kind` is the innermost attribution.
+    Top { at: f64, kind: SegmentKind },
+}
+
+/// The epoch marks of a walked app track, `(time, index)` in event
+/// order, and the count of spans that did not close cleanly (an End
+/// with no open span of its kind, or a span still open at the end).
+pub(crate) struct Walk {
+    pub marks: Vec<(f64, u32)>,
+    pub unmatched: u64,
+}
+
+/// The span walker: the one reading of an app track's Begin/End/Send/
+/// Epoch events, shared by the breakdown ([`analyze`]) and the critical
+/// path ([`crate::critical_path::compute`]). One stack of open spans:
+/// an End closes the innermost open span of its kind, and a span's self
+/// time is its duration minus the durations of the spans it encloses
+/// and of its own sends (debiting), so self times never double count.
+/// Spans still open at the end are closed at `final_us`.
+pub(crate) fn walk_spans(t: &TrackTrace, final_us: f64, mut visit: impl FnMut(Walked)) -> Walk {
+    struct Open {
+        kind: SpanKind,
+        begin: f64,
+        debit: f64,
+    }
+    impl Open {
+        /// The span's duration and self time when it closes at `at`.
+        fn close(&self, at: f64) -> (f64, f64) {
+            let dur = (at - self.begin).max(0.0);
+            (dur, (dur - self.debit).max(0.0))
+        }
+    }
+    let top = |stack: &[Open]| {
+        stack
+            .last()
+            .map_or(SegmentKind::Uncovered, |o| SegmentKind::Span(o.kind))
+    };
+    let mut stack: Vec<Open> = Vec::new();
+    let mut w = Walk {
+        marks: Vec::new(),
+        unmatched: 0,
+    };
+    for e in &t.events {
+        // Event-order epoch bin: one past the last marker's index (the
+        // marker for epoch `i` follows all of epoch `i`'s spans).
+        let bin = w.marks.last().map_or(0, |&(_, i)| i as usize + 1);
+        match e.kind {
+            EventKind::Begin { kind, .. } => {
+                stack.push(Open {
+                    kind,
+                    begin: e.vt_us,
+                    debit: 0.0,
+                });
+                let kind = SegmentKind::Span(kind);
+                visit(Walked::Top { at: e.vt_us, kind });
+            }
+            EventKind::End { kind } => {
+                match stack.iter().rposition(|o| o.kind == kind) {
+                    Some(i) => {
+                        let (dur, self_us) = stack.remove(i).close(e.vt_us);
+                        let bin = Some(bin);
+                        visit(Walked::Span { kind, self_us, bin });
+                        if let Some(parent) = stack.last_mut() {
+                            parent.debit += dur;
+                        }
+                    }
+                    None => w.unmatched += 1,
+                }
+                visit(Walked::Top {
+                    at: e.vt_us,
+                    kind: top(&stack),
+                });
+            }
+            EventKind::Send { wire_us, .. } => {
+                visit(Walked::Send { wire_us, bin });
+                if let Some(o) = stack.last_mut() {
+                    o.debit += wire_us;
+                }
+                let (at, kind) = (e.vt_us, SegmentKind::SendBusy);
+                visit(Walked::Top { at, kind });
+                visit(Walked::Top {
+                    at: at + wire_us,
+                    kind: top(&stack),
+                });
+            }
+            EventKind::Epoch { index } => w.marks.push((e.vt_us, index)),
+            EventKind::Recv { .. } | EventKind::Service { .. } | EventKind::Edge { .. } => {}
+        }
+    }
+    while let Some(o) = stack.pop() {
+        w.unmatched += 1;
+        let (_, self_us) = o.close(final_us);
+        visit(Walked::Span {
+            kind: o.kind,
+            self_us,
+            bin: None,
+        });
+    }
+    w
 }
 
 /// Analyze a trace into per-node and per-epoch breakdowns.
@@ -157,7 +283,24 @@ pub fn analyze(data: &TraceData) -> TraceAnalysis {
             ..Default::default()
         };
         if let Some(t) = data.track(node, TracePort::App) {
-            walk_app_track(t, &mut b, &mut epochs);
+            b.dropped += t.dropped;
+            let walk = walk_spans(t, b.total_us, |w| match w {
+                Walked::Span { kind, self_us, bin } => {
+                    let cat = kind.category();
+                    *b.category_mut(cat) += self_us;
+                    if let Some(bin) = bin {
+                        let eb = epoch_bin(&mut epochs, bin);
+                        eb.spans += 1;
+                        *eb.category_mut(cat) += self_us;
+                    }
+                }
+                Walked::Send { wire_us, bin } => {
+                    b.wire_us += wire_us;
+                    epoch_bin(&mut epochs, bin).wire_us += wire_us;
+                }
+                Walked::Top { .. } => {}
+            });
+            b.unmatched += walk.unmatched;
         }
         if let Some(t) = data.track(node, TracePort::Service) {
             b.dropped += t.dropped;
@@ -185,77 +328,6 @@ fn epoch_bin(epochs: &mut Vec<EpochBreakdown>, bin: usize) -> &mut EpochBreakdow
         });
     }
     &mut epochs[bin]
-}
-
-fn walk_app_track(t: &TrackTrace, b: &mut NodeBreakdown, epochs: &mut Vec<EpochBreakdown>) {
-    b.dropped += t.dropped;
-    let mut stack: Vec<Open> = Vec::new();
-    // Current epoch bin: the number of markers seen so far (the marker
-    // for epoch `i` is emitted after all of epoch `i`'s spans end).
-    let mut bin = 0usize;
-    for e in &t.events {
-        match e.kind {
-            EventKind::Begin { kind, .. } => stack.push(Open {
-                kind,
-                begin: e.vt_us,
-                debit: 0.0,
-            }),
-            EventKind::End { kind } => {
-                let Some(i) = stack.iter().rposition(|o| o.kind == kind) else {
-                    b.unmatched += 1;
-                    continue;
-                };
-                let o = stack.remove(i);
-                let dur = (e.vt_us - o.begin).max(0.0);
-                let self_us = (dur - o.debit).max(0.0);
-                let eb = epoch_bin(epochs, bin);
-                eb.spans += 1;
-                match kind.category() {
-                    Category::Compute => {
-                        b.covered_compute_us += self_us;
-                        eb.compute_us += self_us;
-                    }
-                    Category::Wait => {
-                        b.wait_us += self_us;
-                        eb.wait_us += self_us;
-                    }
-                    Category::Service => {
-                        b.service_us += self_us;
-                        eb.service_us += self_us;
-                    }
-                    // Spans are never in the Wire category (wire time
-                    // comes only from Send events).
-                    Category::Wire => {}
-                }
-                if let Some(parent) = stack.last_mut() {
-                    parent.debit += dur;
-                }
-            }
-            EventKind::Send { wire_us, .. } => {
-                b.wire_us += wire_us;
-                epoch_bin(epochs, bin).wire_us += wire_us;
-                if let Some(top) = stack.last_mut() {
-                    top.debit += wire_us;
-                }
-            }
-            EventKind::Recv { .. } | EventKind::Service { .. } | EventKind::Edge { .. } => {}
-            EventKind::Epoch { index } => bin = index as usize + 1,
-        }
-    }
-    // Spans never closed (teardown truncation, lossy tracks): close
-    // them at the node's final clock so their time is not silently
-    // dropped, and flag the irregularity.
-    while let Some(o) = stack.pop() {
-        b.unmatched += 1;
-        let dur = (b.total_us - o.begin).max(0.0);
-        let self_us = (dur - o.debit).max(0.0);
-        match o.kind.category() {
-            Category::Compute => b.covered_compute_us += self_us,
-            Category::Wait => b.wait_us += self_us,
-            Category::Service => b.service_us += self_us,
-            Category::Wire => {}
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -300,6 +372,14 @@ fn base_event(name: String, ph: &str, ts: f64, pid: u32, tid: u32) -> Vec<(&'sta
         ("pid", Json::Num(pid as f64)),
         ("tid", Json::Num(tid as f64)),
     ]
+}
+
+/// A thread-scoped instant event carrying `args`.
+fn instant(name: String, ts: f64, pid: u32, tid: u32, args: Vec<(&str, Json)>) -> Json {
+    let mut f = base_event(name, "i", ts, pid, tid);
+    f.push(("s", Json::Str("t".into())));
+    f.push(("args", obj(args)));
+    obj(f)
 }
 
 fn meta_event(name: &str, pid: u32, tid: Option<u32>, value: &str) -> Json {
@@ -354,6 +434,7 @@ pub fn to_chrome_trace_with_path(data: &TraceData, path: Option<&CriticalPath>) 
         let mut track_events: Vec<(f64, Json)> = Vec::with_capacity(t.events.len());
         for e in &t.events {
             let ts = e.vt_us;
+            let instant = |name, args| instant(name, ts, t.node, tid, args);
             let v = match e.kind {
                 EventKind::Begin { kind, arg } => {
                     let mut f = base_event(kind.label().into(), "B", ts, t.node, tid);
@@ -372,18 +453,13 @@ pub fn to_chrome_trace_with_path(data: &TraceData, path: Option<&CriticalPath>) 
                     seq,
                 } => {
                     let name = format!("send {} {}B -> {}", msg_label(code), bytes, peer);
-                    let mut f = base_event(name, "i", ts, t.node, tid);
-                    f.push(("s", Json::Str("t".into())));
-                    f.push((
-                        "args",
-                        obj(vec![
-                            ("bytes", Json::Num(bytes as f64)),
-                            ("peer", Json::Num(peer as f64)),
-                            ("wire_us", Json::Num(wire_us)),
-                            ("seq", Json::Num(seq as f64)),
-                        ]),
-                    ));
-                    obj(f)
+                    let args = vec![
+                        ("bytes", Json::Num(bytes as f64)),
+                        ("peer", Json::Num(peer as f64)),
+                        ("wire_us", Json::Num(wire_us)),
+                        ("seq", Json::Num(seq as f64)),
+                    ];
+                    instant(name, args)
                 }
                 EventKind::Recv {
                     code,
@@ -393,34 +469,24 @@ pub fn to_chrome_trace_with_path(data: &TraceData, path: Option<&CriticalPath>) 
                     wait_us,
                 } => {
                     let name = format!("recv {} {}B <- {}", msg_label(code), bytes, peer);
-                    let mut f = base_event(name, "i", ts, t.node, tid);
-                    f.push(("s", Json::Str("t".into())));
-                    f.push((
-                        "args",
-                        obj(vec![
-                            ("bytes", Json::Num(bytes as f64)),
-                            ("peer", Json::Num(peer as f64)),
-                            ("seq", Json::Num(seq as f64)),
-                            ("wait_us", Json::Num(wait_us)),
-                        ]),
-                    ));
-                    obj(f)
+                    let args = vec![
+                        ("bytes", Json::Num(bytes as f64)),
+                        ("peer", Json::Num(peer as f64)),
+                        ("seq", Json::Num(seq as f64)),
+                        ("wait_us", Json::Num(wait_us)),
+                    ];
+                    instant(name, args)
                 }
                 EventKind::Edge {
                     kind,
                     out_seq,
                     cause_seq,
                 } => {
-                    let mut f = base_event(format!("edge {}", kind.label()), "i", ts, t.node, tid);
-                    f.push(("s", Json::Str("t".into())));
-                    f.push((
-                        "args",
-                        obj(vec![
-                            ("out_seq", Json::Num(out_seq as f64)),
-                            ("cause_seq", Json::Num(cause_seq as f64)),
-                        ]),
-                    ));
-                    obj(f)
+                    let args = vec![
+                        ("out_seq", Json::Num(out_seq as f64)),
+                        ("cause_seq", Json::Num(cause_seq as f64)),
+                    ];
+                    instant(format!("edge {}", kind.label()), args)
                 }
                 EventKind::Service { op, dur_us } => {
                     let mut f = base_event(op_label(op).into(), "X", ts, t.node, tid);
@@ -448,10 +514,8 @@ pub fn to_chrome_trace_with_path(data: &TraceData, path: Option<&CriticalPath>) 
         // track gets a trailing instant that validation rejects, so a
         // truncated trace can never silently pass for a complete one.
         if t.dropped > 0 {
-            let mut f = base_event("dropped-events".into(), "i", last_ts, t.node, tid);
-            f.push(("s", Json::Str("t".into())));
-            f.push(("args", obj(vec![("count", Json::Num(t.dropped as f64))])));
-            events.push(obj(f));
+            let args = vec![("count", Json::Num(t.dropped as f64))];
+            events.push(instant("dropped-events".into(), last_ts, t.node, tid, args));
         }
     }
     if let Some(cp) = path {
@@ -580,11 +644,7 @@ mod tests {
     use sp2sim::{Event, TracePort, TrackTrace};
 
     fn ev(vt: f64, kind: EventKind) -> Event {
-        Event {
-            vt_us: vt,
-            host_ns: 0,
-            kind,
-        }
+        Event { vt_us: vt, kind }
     }
 
     fn begin(vt: f64, kind: SpanKind) -> Event {
@@ -637,6 +697,55 @@ mod tests {
         assert_eq!(n.covered_compute_us, 80.0);
         assert_eq!(n.uncovered_us, 0.0);
         assert_eq!(n.accounted_us(), 100.0);
+    }
+
+    /// One nested track through the walker: the debit breakdown and the
+    /// critical path's innermost-span timeline charge every category
+    /// the same time.
+    #[test]
+    fn debit_breakdown_and_critical_path_timeline_agree() {
+        let events = vec![
+            begin(0.0, SpanKind::Compute),
+            begin(10.0, SpanKind::Fault),
+            ev(
+                12.0,
+                EventKind::Send {
+                    code: 2,
+                    bytes: 64,
+                    peer: 1,
+                    wire_us: 3.0,
+                    seq: 1,
+                },
+            ),
+            begin(20.0, SpanKind::DiffApply),
+            end(25.0, SpanKind::DiffApply),
+            end(30.0, SpanKind::Fault),
+            end(100.0, SpanKind::Compute),
+            begin(100.0, SpanKind::BarrierWait),
+            end(120.0, SpanKind::BarrierWait),
+        ];
+        let data = TraceData {
+            tracks: vec![track(0, TracePort::App, events)],
+            final_us: vec![130.0],
+        };
+        let n = analyze(&data).nodes[0];
+        assert_eq!(
+            [
+                n.covered_compute_us,
+                n.uncovered_us,
+                n.wait_us,
+                n.service_us,
+                n.wire_us
+            ],
+            [80.0, 10.0, 20.0, 17.0, 3.0]
+        );
+        let cp = crate::critical_path::compute(&data).expect("one node");
+        assert!(cp.exact(), "{cp:?}");
+        let on_path = cp.by_category().map(|(_, us)| us);
+        assert_eq!(
+            on_path,
+            [n.compute_us(), n.wait_us, n.service_us, n.wire_us]
+        );
     }
 
     /// The per-node identity holds even with time outside any span.

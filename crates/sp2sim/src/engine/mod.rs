@@ -92,13 +92,11 @@ impl FromStr for EngineKind {
 pub struct ServiceHandle(pub(crate) u64);
 
 /// Shared state of a traced run, owned by the engine's fabric: the
-/// spec, the run's wall-clock origin (every event's `host_ns` is
-/// relative to it), and the sink endpoint buffers drain into when they
-/// drop. Recording itself is lock-free (each endpoint owns its buffer);
-/// the sink mutex is touched once per endpoint at teardown.
+/// spec and the sink endpoint buffers drain into when they drop.
+/// Recording itself is lock-free (each endpoint owns its buffer); the
+/// sink mutex is touched once per endpoint at teardown.
 pub(crate) struct TraceShared {
     pub(crate) spec: trace::TraceSpec,
-    pub(crate) start: std::time::Instant,
     pub(crate) sink: parking_lot::Mutex<Vec<trace::TrackTrace>>,
 }
 
@@ -106,7 +104,6 @@ impl TraceShared {
     pub(crate) fn new(spec: trace::TraceSpec) -> TraceShared {
         TraceShared {
             spec,
-            start: std::time::Instant::now(),
             sink: parking_lot::Mutex::new(Vec::new()),
         }
     }

@@ -10,7 +10,6 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
 
 use trace::{EdgeKind, Event, EventKind, SpanKind, TraceBuf, TracePort, TrackTrace};
 
@@ -20,11 +19,10 @@ use crate::packet::{Packet, Port};
 use crate::stats::{MsgKind, NetStats};
 use crate::time::VTime;
 
-/// Per-endpoint trace recorder: a private single-writer ring plus the
-/// run's wall-clock origin. Present only when the fabric traces.
+/// Per-endpoint trace recorder: a private single-writer ring. Present
+/// only when the fabric traces.
 struct Tracer {
     buf: RefCell<TraceBuf>,
-    start: Instant,
 }
 
 /// One side of the simulated network attached to a node: either the
@@ -47,7 +45,6 @@ impl Endpoint {
     pub(crate) fn new(id: usize, n: usize, port: Port, fabric: Arc<dyn Fabric>) -> Endpoint {
         let tracer = fabric.tracing().map(|ts| Tracer {
             buf: RefCell::new(TraceBuf::new(ts.spec.capacity)),
-            start: ts.start,
         });
         Endpoint {
             id,
@@ -89,12 +86,7 @@ impl Endpoint {
     /// check inlines into callers).
     fn trace_record(&self, vt_us: f64, kind: EventKind) {
         if let Some(t) = &self.tracer {
-            let host_ns = t.start.elapsed().as_nanos() as u64;
-            t.buf.borrow_mut().push(Event {
-                vt_us,
-                host_ns,
-                kind,
-            });
+            t.buf.borrow_mut().push(Event { vt_us, kind });
         }
     }
 

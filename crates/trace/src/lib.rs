@@ -8,15 +8,12 @@
 //! endpoint, single-writer, no locks on the hot path), `harness` owns
 //! the analysis and the Chrome/Perfetto export.
 //!
-//! Two clocks stamp every event:
-//!
-//! * `vt_us` — the owning endpoint's *virtual* clock at the moment of
-//!   recording, in microseconds. On an app endpoint this is monotone
-//!   non-decreasing; on a service endpoint it acts as a link clock and
-//!   may jump backwards between requests from different peers.
-//! * `host_ns` — host wall time in nanoseconds since the run started.
-//!   Purely diagnostic; deterministic comparisons must scrub it (see
-//!   [`Event::scrubbed`]).
+//! Every event is stamped with `vt_us`, the owning endpoint's *virtual*
+//! clock at the moment of recording, in microseconds. On an app
+//! endpoint this is monotone non-decreasing; on a service endpoint it
+//! acts as a link clock and may jump backwards between requests from
+//! different peers. No host time is recorded, so a sequential-engine
+//! trace is deterministic as a whole.
 //!
 //! Recording never advances a virtual clock and never sends a message,
 //! so a traced run is bit-identical to an untraced one in every
@@ -290,17 +287,7 @@ pub enum EventKind {
 pub struct Event {
     /// Owning endpoint's virtual clock, microseconds.
     pub vt_us: f64,
-    /// Host wall time since run start, nanoseconds. Nondeterministic.
-    pub host_ns: u64,
     pub kind: EventKind,
-}
-
-impl Event {
-    /// The event with its nondeterministic host timestamp zeroed —
-    /// what determinism tests compare.
-    pub fn scrubbed(self) -> Event {
-        Event { host_ns: 0, ..self }
-    }
 }
 
 /// A bounded single-writer event ring. Grows by amortized doubling up
@@ -405,11 +392,7 @@ mod tests {
     use super::*;
 
     fn ev(vt: f64, kind: EventKind) -> Event {
-        Event {
-            vt_us: vt,
-            host_ns: 7,
-            kind,
-        }
+        Event { vt_us: vt, kind }
     }
 
     #[test]
@@ -435,20 +418,6 @@ mod tests {
         assert_eq!(dropped, 0);
         assert_eq!(events.len(), 5);
         assert!(events.windows(2).all(|w| w[0].vt_us < w[1].vt_us));
-    }
-
-    #[test]
-    fn scrub_zeroes_only_host_time() {
-        let e = ev(
-            3.5,
-            EventKind::End {
-                kind: SpanKind::Fault,
-            },
-        );
-        let s = e.scrubbed();
-        assert_eq!(s.host_ns, 0);
-        assert_eq!(s.vt_us, e.vt_us);
-        assert_eq!(s.kind, e.kind);
     }
 
     #[test]

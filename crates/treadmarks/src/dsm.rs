@@ -248,7 +248,7 @@ impl<'n> Tmk<'n> {
 
     /// Snapshot of this node's DSM statistics.
     pub fn stats_snapshot(&self) -> DsmStats {
-        self.state.lock().stats
+        self.state.lock().stats()
     }
 
     /// Record one inspector walk (a dynamic-descriptor evaluation that
@@ -807,7 +807,6 @@ impl<'n> Tmk<'n> {
                     *a = b;
                 }
             }
-            st.stats.page_fetches += 1;
             st.page_prof.entry(e.page).or_default().page_fetches += 1;
             us += cost.diff_apply_us(pw);
         }

@@ -16,7 +16,10 @@
 /// Per-page sharing profile of one node (merge for the cluster view).
 #[derive(Debug, Clone, Default)]
 pub struct PageProfile {
-    /// Access faults taken on the page (read or write).
+    /// Times the page was found invalid and made valid (by an access
+    /// miss or a validate). Not [`DsmStats::faults`](crate::DsmStats::faults),
+    /// which counts fault events: one per aggregated miss, write faults
+    /// included.
     pub faults: u64,
     /// HLRC whole-page fetches requested for the page.
     pub page_fetches: u64,
@@ -142,6 +145,20 @@ impl SharingProfile {
     pub fn merge_from(&mut self, other: &SharingProfile) {
         merge_sorted(&mut self.pages, &other.pages, PageProfile::merge);
         merge_sorted(&mut self.locks, &other.locks, LockProfile::merge);
+    }
+
+    /// Pages hottest first: most faults, ties to the lower page id.
+    pub fn hot_pages(&self) -> Vec<(usize, &PageProfile)> {
+        let mut pages: Vec<_> = self.pages.iter().map(|(id, p)| (*id, p)).collect();
+        pages.sort_by_key(|&(id, p)| (std::cmp::Reverse(p.faults), id));
+        pages
+    }
+
+    /// Locks hottest first: most blocked time, ties to the lower lock id.
+    pub fn hot_locks(&self) -> Vec<(u32, &LockProfile)> {
+        let mut locks: Vec<_> = self.locks.iter().map(|(id, l)| (*id, l)).collect();
+        locks.sort_by(|a, b| b.1.wait_us.total_cmp(&a.1.wait_us).then(a.0.cmp(&b.0)));
+        locks
     }
 }
 

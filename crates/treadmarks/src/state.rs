@@ -484,7 +484,10 @@ pub struct DsmState {
     pub waiting_page_reqs: Vec<WaitingPageReq>,
     /// Recycled page buffers for the twin/diff path.
     pub scratch: DiffScratch,
-    /// Per-node protocol statistics.
+    /// Per-node protocol statistics. The per-page counters
+    /// (`diffs_created`, `diff_words_created`, `diffs_applied`,
+    /// `page_fetches`) stay zero here: `page_prof` is their only copy and
+    /// [`DsmState::stats`] sums it.
     pub stats: DsmStats,
     /// Race-detection provenance log, present iff
     /// [`TmkConfig::detect_races`]: every flush appends the closing
@@ -534,6 +537,19 @@ impl DsmState {
             page_prof: FxHashMap::default(),
             lock_prof: BTreeMap::new(),
         }
+    }
+
+    /// This node's statistics, with the per-page counters summed from
+    /// `page_prof`. Read before `page_prof` is taken (`Tmk::take_sharing`).
+    pub fn stats(&self) -> DsmStats {
+        let mut s = self.stats;
+        for p in self.page_prof.values() {
+            s.diffs_created += p.diffs_created;
+            s.diff_words_created += p.diff_words_created;
+            s.diffs_applied += p.diffs_applied;
+            s.page_fetches += p.page_fetches;
+        }
+        s
     }
 
     /// A per-node epoch proxy for the sharing profile's writer windows:
@@ -1035,8 +1051,6 @@ impl DsmState {
                 let src = frame.published.as_deref().unwrap_or(&frame.data);
                 let diff = Diff::create(twin, src);
                 us += cost.diff_create_us(diff.changed_words());
-                self.stats.diffs_created += 1;
-                self.stats.diff_words_created += diff.changed_words() as u64;
                 let pp = self.page_prof.entry(page).or_default();
                 pp.diffs_created += 1;
                 pp.diff_words_created += diff.changed_words() as u64;
@@ -1097,7 +1111,6 @@ impl DsmState {
         if hi > frame.applied[writer] {
             frame.applied[writer] = hi;
         }
-        self.stats.diffs_applied += 1;
         self.page_prof.entry(page).or_default().diffs_applied += 1;
     }
 }
@@ -1158,7 +1171,7 @@ mod tests {
         let open = pd.open.as_ref().unwrap();
         assert_eq!((open.lo, open.hi), (1, 5));
         // No diff materialized yet, and the single twin is retained.
-        assert_eq!(s.stats.diffs_created, 0);
+        assert_eq!(s.stats().diffs_created, 0);
         assert!(s.frames[&3].twin.is_some());
         // Materializing covers all five writes at once.
         let (ranges, us) = s.serve_diffs(3, 1, &CostModel::sp2());

@@ -4,10 +4,17 @@
 /// in [`sp2sim::NetStats`]; these counters cover the shared-memory
 /// machinery itself — the "overhead of detecting modifications" the paper
 /// analyzes (twinning, diffing, page faults) plus synchronization events.
+///
+/// `diffs_created`, `diff_words_created`, `diffs_applied` and
+/// `page_fetches` are counted only per page, in the sharing profile
+/// ([`crate::profile::PageProfile`]), and summed into this struct when it
+/// is read (`Tmk::stats_snapshot`, `Tmk::finish`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DsmStats {
     /// Access faults taken (read faults on invalidated pages and write
-    /// faults that created a twin).
+    /// faults that created a twin): one per fault event. Not the sum of
+    /// [`PageProfile::faults`](crate::profile::PageProfile::faults), which
+    /// counts invalid pages made valid.
     pub faults: u64,
     /// Twins created.
     pub twins: u64,

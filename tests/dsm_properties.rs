@@ -171,3 +171,43 @@ fn lock_chain_stress_no_deadlock() {
         }
     }
 }
+
+/// The per-page counters have one definition: the run's `DsmStats`
+/// totals of diffs created, diff words, diffs applied and page fetches
+/// equal the sums over its sharing profile's pages, for every
+/// application under both protocols.
+#[test]
+fn dsm_stats_totals_equal_the_per_page_sums() {
+    use apps::{runner::run_protocol_on, AppId, Version};
+    use treadmarks::ProtocolMode;
+    for app in AppId::ALL {
+        for protocol in ProtocolMode::ALL {
+            let r = run_protocol_on(
+                sp2sim::EngineKind::Sequential,
+                protocol,
+                app,
+                Version::Spf,
+                4,
+                0.03,
+            );
+            let pages = &r.sharing.pages;
+            let sum =
+                |f: fn(&treadmarks::PageProfile) -> u64| pages.iter().map(|(_, p)| f(p)).sum();
+            let d = &r.dsm;
+            let totals = [
+                d.diffs_created,
+                d.diff_words_created,
+                d.diffs_applied,
+                d.page_fetches,
+            ];
+            let per_page = [
+                sum(|p| p.diffs_created),
+                sum(|p| p.diff_words_created),
+                sum(|p| p.diffs_applied),
+                sum(|p| p.page_fetches),
+            ];
+            assert_eq!(totals, per_page, "{app:?}/{protocol}");
+            assert!(d.diffs_created > 0, "{app:?}/{protocol}: diffs exercised");
+        }
+    }
+}

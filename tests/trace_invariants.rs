@@ -7,7 +7,7 @@
 //!   memory contents are byte-identical on both engines and every
 //!   deterministic (sequential-engine) quantity is bit-identical.
 //! * **Determinism** — on the sequential engine two traced runs yield
-//!   identical event streams modulo host wall-clock stamps.
+//!   identical event streams.
 //! * **Breakdown identity** — per node, the analyzer's categories sum
 //!   to the node's final virtual clock: `covered compute + wait +
 //!   service + wire + uncovered = total`, with the *uncovered* share
@@ -21,22 +21,12 @@ use apps::runner::{run_with_cfg_on, tmk_config_for_protocol};
 use apps::{AppId, RunResult, Version};
 use harness::trace_analysis::{analyze, to_chrome_trace, validate_chrome_trace};
 use harness::Json;
-use sp2sim::{EngineKind, TraceData};
+use sp2sim::EngineKind;
 use treadmarks::ProtocolMode;
 
 fn run_jacobi(engine: EngineKind, protocol: ProtocolMode, trace: bool) -> RunResult {
     let cfg = tmk_config_for_protocol(Version::Spf, protocol).with_trace(trace);
     run_with_cfg_on(engine, AppId::Jacobi, Version::Spf, 4, 0.05, cfg)
-}
-
-/// Strip host wall-clock stamps, leaving only simulated content.
-fn scrub(mut t: TraceData) -> TraceData {
-    for track in &mut t.tracks {
-        for e in &mut track.events {
-            *e = e.scrubbed();
-        }
-    }
-    t
 }
 
 /// Tracing changes nothing simulated. Memory (checksums) must be
@@ -74,14 +64,13 @@ fn tracing_disabled_and_enabled_agree_on_simulated_output() {
     }
 }
 
-/// Two sequential-engine traced runs produce identical event streams
-/// once host wall-clock stamps are scrubbed: same tracks, same events,
-/// same virtual timestamps, same final clocks.
+/// Two sequential-engine traced runs produce identical event streams:
+/// same tracks, same events, same virtual timestamps, same final clocks.
 #[test]
 fn sequential_trace_streams_are_deterministic() {
     let a = run_jacobi(EngineKind::Sequential, ProtocolMode::Lrc, true);
     let b = run_jacobi(EngineKind::Sequential, ProtocolMode::Lrc, true);
-    let (ta, tb) = (scrub(a.trace.unwrap()), scrub(b.trace.unwrap()));
+    let (ta, tb) = (a.trace.unwrap(), b.trace.unwrap());
     assert!(ta.event_count() > 0, "trace is non-trivial");
     assert_eq!(ta, tb);
 }
