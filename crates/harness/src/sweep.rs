@@ -7,17 +7,12 @@
 //! With the threaded engine every simulation already spawns a thread per
 //! simulated node, so the sweep runs them one after another instead.
 
-use sp2sim::EngineKind;
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// True when sweep items should fan out across OS threads for `engine`.
-pub fn parallel(engine: EngineKind) -> bool {
-    engine == EngineKind::Sequential
-}
+use sp2sim::EngineKind;
 
 /// Sort items longest-expected-first. Greedy longest-job-first is the
-/// classic makespan heuristic for [`sweep_map`]'s work-stealing loop:
+/// classic makespan heuristic for [`sweep_map`]'s work queue:
 /// scheduling the expensive cells first keeps every worker busy through
 /// the tail of the sweep instead of leaving one worker grinding a giant
 /// cell after the others drained the queue. The sort is stable and
@@ -27,91 +22,50 @@ pub fn longest_first<T>(items: &mut [T], cost: impl Fn(&T) -> u64) {
     items.sort_by_key(|t| std::cmp::Reverse(cost(t)));
 }
 
-/// Map `f` over `items`, in parallel when `engine` allows it (see
-/// [`parallel`]); preserves item order in the result either way, and
-/// propagates the first worker panic.
+/// Map `f` over `items`: on the sequential engine, one item at a time
+/// per worker thread (one per core), each taking the next item from a
+/// shared queue; on the threaded engine, one after another. Preserves
+/// item order in the result either way, and propagates the first
+/// worker panic.
 pub fn sweep_map<T, R, F>(engine: EngineKind, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    if !parallel(engine) || items.len() < 2 {
+    if engine != EngineKind::Sequential || items.len() < 2 {
         return items.into_iter().map(f).collect();
     }
     let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+        .map_or(1, |n| n.get())
         .min(items.len());
-    let jobs: Vec<Slot<T>> = items.into_iter().map(Slot::full).collect();
-    let results: Vec<Slot<R>> = (0..jobs.len()).map(|_| Slot::empty()).collect();
-    let next = AtomicUsize::new(0);
-
+    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    let queue = Mutex::new(items.into_iter().enumerate());
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            handles.push(scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                // SAFETY: `fetch_add` hands index `i` to exactly one
-                // worker, so this thread has exclusive access to both
-                // slots at `i` for the lifetime of the scope.
-                let item = unsafe { jobs[i].take() }.expect("job claimed once");
-                let r = f(item);
-                unsafe { results[i].put(r) };
-            }));
-        }
+        let worker = || {
+            let mut done = Vec::new();
+            loop {
+                // A statement of its own, so the lock is released
+                // before `f` runs.
+                let next = queue
+                    .lock()
+                    .expect("the queue lock is never held across a panic")
+                    .next();
+                let Some((i, item)) = next else { return done };
+                done.push((i, f(item)));
+            }
+        };
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
         for h in handles {
-            if let Err(e) = h.join() {
-                std::panic::resume_unwind(e);
+            match h.join() {
+                Ok(done) => done.into_iter().for_each(|(i, r)| out[i] = Some(r)),
+                Err(e) => std::panic::resume_unwind(e),
             }
         }
     });
-
-    // All workers joined above: the slots are quiescent again.
-    results
-        .into_iter()
-        .map(|c| c.into_inner().expect("worker filled every slot"))
+    out.into_iter()
+        .map(|r| r.expect("a worker ran every item"))
         .collect()
-}
-
-/// A `Sync` slot with no lock and no allocation. The sweep's invariant —
-/// each index is claimed by exactly one worker through the shared atomic
-/// counter, and every worker is joined before the results are read —
-/// means slot accesses never race; earlier revisions encoded that
-/// through a mutex per slot, which bought nothing but an atomic RMW on
-/// the hot claim path. The invariant is now carried by the two `unsafe`
-/// call sites in [`sweep_map`] instead.
-struct Slot<T>(UnsafeCell<Option<T>>);
-
-// SAFETY: a Slot is only ever touched by one thread at a time (see the
-// invariant above); `T: Send` is all that transfer needs.
-unsafe impl<T: Send> Sync for Slot<T> {}
-
-impl<T> Slot<T> {
-    fn full(t: T) -> Slot<T> {
-        Slot(UnsafeCell::new(Some(t)))
-    }
-
-    fn empty() -> Slot<T> {
-        Slot(UnsafeCell::new(None))
-    }
-
-    /// SAFETY: caller must have exclusive access to this slot.
-    unsafe fn take(&self) -> Option<T> {
-        (*self.0.get()).take()
-    }
-
-    /// SAFETY: caller must have exclusive access to this slot.
-    unsafe fn put(&self, t: T) {
-        *self.0.get() = Some(t);
-    }
-
-    fn into_inner(self) -> Option<T> {
-        self.0.into_inner()
-    }
 }
 
 #[cfg(test)]
